@@ -7,6 +7,7 @@ error, 3 numeric/domain error.
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,16 +25,26 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-def _load_config(args) -> tuple[ExperimentConfig, Path]:
+SWEEP_FIELDS = (
+    "index", "set", "sampling_rate", "sigma", "seed",
+    "status", "psnr_db", "ssim", "mse", "significant_count", "message",
+)
+
+
+def _read_config_json(args) -> tuple[object, Path]:
+    """The parsed --config file and the directory it lives in."""
     if not args.config:
         raise ConfigError("--config", "a config file is required for this command")
     config_path = Path(args.config)
     try:
-        data = json.loads(config_path.read_text())
+        return json.loads(config_path.read_text()), config_path.parent
     except json.JSONDecodeError as exc:
         raise ConfigError(str(config_path), f"invalid JSON: {exc}") from exc
-    data = with_overrides(data, sigma=args.sigma, seed=args.seed)
-    return parse_config(data), config_path.parent
+
+
+def _load_config(args) -> tuple[ExperimentConfig, Path]:
+    data, base_dir = _read_config_json(args)
+    return parse_config(with_overrides(data, sigma=args.sigma, seed=args.seed)), base_dir
 
 
 def _out_dir(args) -> Path:
@@ -48,11 +59,40 @@ def _acquire(config: ExperimentConfig, scene: SceneImage):
     return acquire(config.hybrid, scene, config.noise)
 
 
-def _summary_line(label: str, rate: float, report) -> str:
+def _summary_line(config: ExperimentConfig, report) -> str:
     return (
-        f"{label} rate={rate:.3f} psnr={report.psnr_db:.2f} "
-        f"ssim={report.ssim:.4f} significant={report.significant_count}"
+        f"{config.hybrid.label} rate={config.hybrid.sampling_rate:.3f} "
+        f"psnr={report.psnr_db:.2f} ssim={report.ssim:.4f} "
+        f"significant={report.significant_count}"
     )
+
+
+def _score(config: ExperimentConfig, scene: SceneImage, recon, buckets):
+    options = config.metric_options
+    return quality_report(
+        scene, recon, peak=options.peak, roi=options.roi, buckets=buckets,
+        rel_tol=options.rel_tol,
+    )
+
+
+def _write_report(config: ExperimentConfig, path, report, **extra) -> None:
+    fileio.write_json(
+        path,
+        {
+            "set": config.hybrid.label,
+            "sampling_rate": config.hybrid.sampling_rate,
+            "quality": report.to_dict(),
+            "config": config.raw,
+            **extra,
+        },
+    )
+
+
+def _write_reconstruction(image: SceneImage, path) -> None:
+    """The display PGM at ``path`` plus the exact CSV beside it."""
+    image_path = Path(path)
+    scenes.save_image(image, image_path)
+    fileio.write_csv_matrix(image_path.with_suffix(".csv"), image.values)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path, base_dir: Path,
@@ -61,30 +101,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, base_dir: Path,
     scene = config.object_spec.build(base_dir)
     buckets = _acquire(config, scene)
     result = reconstruct_chain(config.hybrid, buckets, range_tag=scene.range_tag)
-    report = quality_report(
-        scene,
-        result.image,
-        peak=config.metric_options.peak,
-        roi=config.metric_options.roi,
-        buckets=buckets,
-        rel_tol=config.metric_options.rel_tol,
-    )
+    report = _score(config, scene, result.image, buckets)
     if write_files:
         paths = config.outputs.resolved(out_dir)
         fileio.write_buckets(paths.buckets, buckets)
-        image_path = Path(paths.image)
-        scenes.save_image(result.image, image_path)
-        fileio.write_csv_matrix(image_path.with_suffix(".csv"), result.image.values)
-        fileio.write_json(
-            paths.report,
-            {
-                "set": config.hybrid.label,
-                "sampling_rate": config.hybrid.sampling_rate,
-                "quality": report.to_dict(),
-                "residual_norm": result.residual_norm,
-                "config": config.raw,
-            },
-        )
+        _write_reconstruction(result.image, paths.image)
+        _write_report(config, paths.report, report, residual_norm=result.residual_norm)
     return scene, buckets, result, report
 
 
@@ -93,7 +115,7 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args)
     _, _, _, report = run_experiment(config, out_dir, base_dir)
     if not args.quiet:
-        print(_summary_line(config.hybrid.label, config.hybrid.sampling_rate, report))
+        print(_summary_line(config, report))
     return 0
 
 
@@ -126,9 +148,7 @@ def cmd_reconstruct(args) -> int:
     paths = config.outputs.resolved(_out_dir(args))
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets)
-    image_path = Path(paths.image)
-    scenes.save_image(result.image, image_path)
-    fileio.write_csv_matrix(image_path.with_suffix(".csv"), result.image.values)
+    _write_reconstruction(result.image, paths.image)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
     return 0
@@ -139,96 +159,60 @@ def cmd_metrics(args) -> int:
     scene = config.object_spec.build(base_dir)
     paths = config.outputs.resolved(_out_dir(args))
     recon = fileio.read_csv_matrix(Path(paths.image).with_suffix(".csv"))
-    buckets = fileio.read_buckets(paths.buckets)
-    report = quality_report(
-        scene,
-        recon,
-        peak=config.metric_options.peak,
-        roi=config.metric_options.roi,
-        buckets=buckets,
-        rel_tol=config.metric_options.rel_tol,
-    )
-    fileio.write_json(
-        paths.report,
-        {
-            "set": config.hybrid.label,
-            "sampling_rate": config.hybrid.sampling_rate,
-            "quality": report.to_dict(),
-            "config": config.raw,
-        },
-    )
+    report = _score(config, scene, recon, fileio.read_buckets(paths.buckets))
+    _write_report(config, paths.report, report)
     if not args.quiet:
-        print(_summary_line(config.hybrid.label, config.hybrid.sampling_rate, report))
+        print(_summary_line(config, report))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if not args.config:
-        raise ConfigError("--config", "a sweep config file is required")
-    sweep_path = Path(args.config)
-    try:
-        data = json.loads(sweep_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(sweep_path), f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "base" not in data:
+    data, base_dir = _read_config_json(args)
+    if not isinstance(data, dict) or not isinstance(data.get("base"), dict):
         raise ConfigError("base", "sweep config needs a base experiment config")
     vary = data.get("vary", {})
-    hybrid_sets = vary.get("hybrid_sets") or [None]
-    sigmas = vary.get("sigmas") or [None]
-    seeds = vary.get("seeds") or [None]
+    if not isinstance(vary, dict):
+        raise ConfigError("vary", "expected an object")
+    axes = []
+    for key in ("hybrid_sets", "sigmas", "seeds"):
+        values = vary.get(key) or [None]
+        if not isinstance(values, list):
+            raise ConfigError(f"vary.{key}", "expected a list")
+        axes.append(values)
 
     out_dir = _out_dir(args)
     table_path = out_dir / str(data.get("table", "sweep.csv"))
     rows = []
-    index = 0
-    for hybrid in hybrid_sets:
-        for sigma in sigmas:
-            for seed in seeds:
-                raw = dict(data["base"])
-                if hybrid is not None:
-                    raw["hybrid"] = hybrid
-                raw = with_overrides(raw, sigma=sigma, seed=seed)
-                raw = with_overrides(raw, sigma=args.sigma, seed=args.seed)
-                row = {"index": index}
-                try:
-                    config = parse_config(raw)
-                    row["set"] = config.hybrid.label
-                    row["sampling_rate"] = f"{config.hybrid.sampling_rate:.6g}"
-                    row["sigma"] = config.noise.sigma
-                    row["seed"] = config.noise.seed
-                    _, _, _, report = run_experiment(
-                        config, out_dir, sweep_path.parent, write_files=False
-                    )
-                    row.update(
-                        status="ok",
-                        psnr_db=f"{report.psnr_db:.6g}",
-                        ssim=f"{report.ssim:.6g}",
-                        mse=f"{report.mse:.6g}",
-                        significant_count=report.significant_count,
-                        message="",
-                    )
-                except (HybridGIError, OSError) as exc:
-                    row.setdefault("set", "")
-                    row.setdefault("sampling_rate", "")
-                    row.setdefault("sigma", "")
-                    row.setdefault("seed", "")
-                    row.update(
-                        status="error",
-                        psnr_db="",
-                        ssim="",
-                        mse="",
-                        significant_count="",
-                        message=str(exc),
-                    )
-                rows.append(row)
-                index += 1
+    for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
+        raw = dict(data["base"])
+        if hybrid is not None:
+            raw["hybrid"] = hybrid
+        raw = with_overrides(raw, sigma=sigma, seed=seed)
+        raw = with_overrides(raw, sigma=args.sigma, seed=args.seed)
+        row = dict.fromkeys(SWEEP_FIELDS, "")
+        row["index"] = index
+        try:
+            config = parse_config(raw)
+            row.update(
+                set=config.hybrid.label,
+                sampling_rate=f"{config.hybrid.sampling_rate:.6g}",
+                sigma=config.noise.sigma,
+                seed=config.noise.seed,
+            )
+            _, _, _, report = run_experiment(config, out_dir, base_dir, write_files=False)
+            row.update(
+                status="ok",
+                psnr_db=f"{report.psnr_db:.6g}",
+                ssim=f"{report.ssim:.6g}",
+                mse=f"{report.mse:.6g}",
+                significant_count=report.significant_count,
+            )
+        except (HybridGIError, OSError) as exc:
+            row.update(status="error", message=str(exc))
+        rows.append(row)
 
-    fields = [
-        "index", "set", "sampling_rate", "sigma", "seed",
-        "status", "psnr_db", "ssim", "mse", "significant_count", "message",
-    ]
     with open(table_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     if not args.quiet:

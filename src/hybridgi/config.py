@@ -6,80 +6,24 @@ options, and the output paths. Validation failures raise ConfigError with
 the offending field path.
 """
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, HybridGIError
-from .measurement import ChainEntry, HybridSpec
+from .measurement import (
+    CONFIG_KINDS,
+    HybridSpec,
+    as_int,
+    as_number,
+    require_field,
+    resolve_kept_rows,  # re-exported: the config schema's rate rule
+)
 from .scenes import StripeSpec, separable_object, staggered_stripes, windmill
 from .simulator import NoiseModel, RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
 from . import scenes
 
 GENERATORS = ("stripes", "windmill", "separable")
-
-CONFIG_KINDS = ("hadamard", "dct", "haar", "dft", "identity")
-
-
-def resolve_kept_rows(rate: float, order: int) -> int:
-    """Round-half-up resolution of a per-side sampling rate to kept rows."""
-    return int(math.floor(rate * order + 0.5))
-
-
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
-    return mapping[key]
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(path, "expected a non-empty list of chain entries")
-    chain = []
-    for i, entry in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(entry_path, "expected an object")
-        kind = _require(entry, "kind", entry_path)
-        if kind not in CONFIG_KINDS:
-            raise ConfigError(
-                f"{entry_path}.kind", f"unknown kind {kind!r}; one of {CONFIG_KINDS}"
-            )
-        order = _as_int(_require(entry, "order", entry_path), f"{entry_path}.order")
-        kept = entry.get("kept_rows")
-        rate = entry.get("sampling_rate")
-        if kept is not None and rate is not None:
-            raise ConfigError(
-                entry_path, "give kept_rows or sampling_rate, not both"
-            )
-        if rate is not None:
-            rate = _as_number(rate, f"{entry_path}.sampling_rate")
-            if not 0.0 < rate <= 1.0:
-                raise ConfigError(
-                    f"{entry_path}.sampling_rate", f"must be in (0, 1], got {rate}"
-                )
-            kept = resolve_kept_rows(rate, order)
-        if kept is not None:
-            kept = _as_int(kept, f"{entry_path}.kept_rows")
-            if not 1 <= kept <= order:
-                raise ConfigError(
-                    f"{entry_path}.kept_rows", f"must be in [1, {order}], got {kept}"
-                )
-        chain.append(ChainEntry(TransformKind(kind), order, kept))
-    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -166,7 +110,7 @@ def _parse_object(data, path: str) -> ObjectSpec:
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object section")
     if "path" in data:
-        range_name = _require(data, "range", path)
+        range_name = require_field(data, "range", path)
         try:
             declared = RangeTag(range_name)
         except ValueError:
@@ -174,7 +118,7 @@ def _parse_object(data, path: str) -> ObjectSpec:
                 f"{path}.range", f"unknown range {range_name!r}"
             ) from None
         return ObjectSpec(None, {}, str(data["path"]), declared)
-    generator = _require(data, "generator", path)
+    generator = require_field(data, "generator", path)
     if generator not in GENERATORS:
         raise ConfigError(
             f"{path}.generator", f"unknown generator {generator!r}; one of {GENERATORS}"
@@ -185,14 +129,14 @@ def _parse_object(data, path: str) -> ObjectSpec:
         "separable": ("left_kind", "left_order", "right_kind", "right_order", "row", "col"),
     }[generator]
     for key in required:
-        _require(data, key, path)
+        require_field(data, key, path)
     int_fields = {
         "height", "width", "stripe_period", "stagger_offset", "band_size",
         "blade_count", "left_order", "right_order", "row", "col",
     }
     for key, value in data.items():
         if key in int_fields:
-            _as_int(value, f"{path}.{key}")
+            as_int(value, f"{path}.{key}")
         elif key == "orientation" and value not in ("horizontal", "vertical"):
             raise ConfigError(f"{path}.orientation", f"unknown orientation {value!r}")
         elif key in ("left_kind", "right_kind") and value not in CONFIG_KINDS:
@@ -205,27 +149,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict and resolve it into an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    object_spec = _parse_object(_require(data, "object", "<root>"), "object")
+    object_spec = _parse_object(require_field(data, "object", "<root>"), "object")
 
-    hybrid_data = _require(data, "hybrid", "<root>")
-    if not isinstance(hybrid_data, dict):
-        raise ConfigError("hybrid", "expected an object with left and right chains")
-    try:
-        hybrid = HybridSpec(
-            _parse_chain(_require(hybrid_data, "left", "hybrid"), "hybrid.left"),
-            _parse_chain(_require(hybrid_data, "right", "hybrid"), "hybrid.right"),
-        )
-    except HybridGIError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("hybrid", str(exc)) from exc
+    hybrid = HybridSpec.from_dict(require_field(data, "hybrid", "<root>"))
 
     noise_data = data.get("noise", {})
     if not isinstance(noise_data, dict):
         raise ConfigError("noise", "expected an object")
-    sigma = _as_number(noise_data.get("sigma", 0.0), "noise.sigma")
+    sigma = as_number(noise_data.get("sigma", 0.0), "noise.sigma")
     seed = noise_data.get("seed", 0)
-    seed = _as_int(seed, "noise.seed")
+    seed = as_int(seed, "noise.seed")
     try:
         noise = NoiseModel(sigma, seed)
     except HybridGIError as exc:
@@ -238,13 +171,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     if roi is not None:
         if not (isinstance(roi, list) and len(roi) == 4):
             raise ConfigError("metrics.roi", "expected [top, left, height, width]")
-        roi = tuple(_as_int(v, f"metrics.roi[{i}]") for i, v in enumerate(roi))
+        roi = tuple(as_int(v, f"metrics.roi[{i}]") for i, v in enumerate(roi))
     peak = metrics_data.get("peak")
     if peak is not None:
-        peak = _as_number(peak, "metrics.peak")
+        peak = as_number(peak, "metrics.peak")
         if peak <= 0:
             raise ConfigError("metrics.peak", f"must be positive, got {peak}")
-    rel_tol = _as_number(metrics_data.get("rel_tol", 1e-6), "metrics.rel_tol")
+    rel_tol = as_number(metrics_data.get("rel_tol", 1e-6), "metrics.rel_tol")
     if rel_tol <= 0:
         raise ConfigError("metrics.rel_tol", f"must be positive, got {rel_tol}")
     options = MetricOptions(roi=roi, peak=peak, rel_tol=rel_tol)
@@ -271,13 +204,12 @@ def with_overrides(
     data: dict, sigma: float | None = None, seed: int | None = None
 ) -> dict:
     """Apply CLI --sigma/--seed overrides to a raw config dict."""
-    if sigma is None and seed is None:
+    overrides = {
+        key: value for key, value in (("sigma", sigma), ("seed", seed))
+        if value is not None
+    }
+    # A malformed config or noise section is left for parse_config to report.
+    noise = data.get("noise", {}) if isinstance(data, dict) else None
+    if not overrides or not isinstance(noise, dict):
         return data
-    patched = dict(data)
-    noise = dict(patched.get("noise", {}))
-    if sigma is not None:
-        noise["sigma"] = sigma
-    if seed is not None:
-        noise["seed"] = seed
-    patched["noise"] = noise
-    return patched
+    return {**data, "noise": {**noise, **overrides}}

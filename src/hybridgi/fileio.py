@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ImageParseError, ResourceLimitError
+from .errors import ConfigError, ImageParseError, ResourceLimitError
+from .measurement import HybridSpec, as_int, as_number, require_field
+from .simulator import BucketSignals
 
 MAX_PIXELS = 1 << 26
 
@@ -152,16 +154,21 @@ def write_buckets(path, buckets) -> None:
     )
 
 
-def read_buckets(path):
-    """Read bucket signals and their sidecar back into a BucketSignals."""
-    from .measurement import HybridSpec
-    from .simulator import BucketSignals
+def read_buckets(path) -> BucketSignals:
+    """Read bucket signals and their sidecar back into a BucketSignals.
 
+    A malformed sidecar raises ImageParseError naming the sidecar and the
+    offending field.
+    """
     values = read_csv_matrix(path)
-    meta = read_json(sidecar_path(path))
-    return BucketSignals(
-        values,
-        float(meta["noise_sigma"]),
-        int(meta["seed"]),
-        HybridSpec.from_dict(meta["spec"]),
-    )
+    sidecar = sidecar_path(path)
+    try:
+        meta = read_json(sidecar)
+        if not isinstance(meta, dict):
+            raise ConfigError("<root>", "expected a JSON object")
+        sigma = as_number(require_field(meta, "noise_sigma", "<root>"), "noise_sigma")
+        seed = as_int(require_field(meta, "seed", "<root>"), "seed")
+        spec = HybridSpec.from_dict(require_field(meta, "spec", "<root>"), "spec")
+    except (ConfigError, json.JSONDecodeError) as exc:
+        raise ImageParseError(f"bucket sidecar {sidecar}: {exc}") from exc
+    return BucketSignals(values, sigma, seed, spec)

@@ -9,14 +9,18 @@ Index maps (0-based): measurement k = m * kept_rows_R + n pairs left row m
 with right row n; image column l = i * N + j addresses pixel (i, j).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainCompositionError, ResourceLimitError, ShapeError
+from .errors import ChainCompositionError, ConfigError, ResourceLimitError, ShapeError
 from .transforms import TransformKind, TransformMatrix, build_transform
 
 KRON_ENTRY_CAP = 1 << 28
+
+# Kinds a spec may name; COMPOSITE only arises inside compose_chain.
+CONFIG_KINDS = tuple(k.value for k in TransformKind if k is not TransformKind.COMPOSITE)
 
 _KIND_SHORT = {
     TransformKind.HADAMARD: "had",
@@ -56,10 +60,6 @@ class TruncatedTransform:
     def is_complex(self) -> bool:
         return self.source.is_complex
 
-    @property
-    def label(self) -> str:
-        return f"{_KIND_SHORT[self.source.kind]}{self.kept_rows}/{self.order}"
-
     @classmethod
     def full(cls, source: TransformMatrix) -> "TruncatedTransform":
         return cls(source, source.order)
@@ -70,7 +70,8 @@ def truncate(source: TransformMatrix, kept_rows: int) -> TruncatedTransform:
     return TruncatedTransform(source, kept_rows)
 
 
-def _as_factor(t) -> TruncatedTransform:
+def as_factor(t) -> TruncatedTransform:
+    """A TruncatedTransform as is, or a TransformMatrix as its full truncation."""
     if isinstance(t, TruncatedTransform):
         return t
     if isinstance(t, TransformMatrix):
@@ -83,8 +84,6 @@ class MeasurementMatrix:
     """Dense Kronecker product of a left and a right factor."""
 
     entries: np.ndarray
-    left_spec: str
-    right_spec: str
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -115,10 +114,6 @@ class ChainEntry:
         if self.kept_rows is None:
             object.__setattr__(self, "kept_rows", self.order)
 
-    @property
-    def kept(self) -> int:
-        return self.kept_rows
-
 
 @dataclass(frozen=True)
 class HybridSpec:
@@ -146,14 +141,14 @@ class HybridSpec:
                     f"{side} chain factors must share one order, got {sorted(orders)}"
                 )
             for entry in chain[:-1]:
-                if entry.kept != entry.order:
+                if entry.kept_rows != entry.order:
                     raise ChainCompositionError(
                         f"{side} chain: only the outermost factor may be truncated"
                     )
             last = chain[-1]
-            if not 1 <= last.kept <= last.order:
+            if not 1 <= last.kept_rows <= last.order:
                 raise ChainCompositionError(
-                    f"{side} chain kept_rows must be in [1, {last.order}], got {last.kept}"
+                    f"{side} chain kept_rows must be in [1, {last.order}], got {last.kept_rows}"
                 )
 
     @classmethod
@@ -182,11 +177,11 @@ class HybridSpec:
 
     @property
     def left_kept(self) -> int:
-        return self.left_chain[-1].kept
+        return self.left_chain[-1].kept_rows
 
     @property
     def right_kept(self) -> int:
-        return self.right_chain[-1].kept
+        return self.right_chain[-1].kept_rows
 
     @property
     def sampling_rate(self) -> float:
@@ -202,23 +197,95 @@ class HybridSpec:
     def to_dict(self) -> dict:
         def side(chain: tuple[ChainEntry, ...]) -> list[dict]:
             return [
-                {"kind": e.kind.value, "order": e.order, "kept_rows": e.kept}
+                {"kind": e.kind.value, "order": e.order, "kept_rows": e.kept_rows}
                 for e in chain
             ]
 
         return {"left": side(self.left_chain), "right": side(self.right_chain)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HybridSpec":
-        def side(entries: list[dict]) -> tuple[ChainEntry, ...]:
-            return tuple(
-                ChainEntry(
-                    TransformKind(e["kind"]), int(e["order"]), e.get("kept_rows")
-                )
-                for e in entries
-            )
+    def from_dict(cls, data, path: str = "hybrid") -> "HybridSpec":
+        """Validate and resolve a ``{"left": [...], "right": [...]}`` mapping.
 
-        return cls(side(data["left"]), side(data["right"]))
+        This is the one parser of the hybrid-spec schema, for config
+        sections and bucket sidecars alike. Each chain entry names a kind
+        and an order, and optionally kept_rows or sampling_rate. Any
+        violation raises ConfigError with the offending field path.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(path, "expected an object with left and right chains")
+        try:
+            return cls(
+                _parse_chain(require_field(data, "left", path), f"{path}.left"),
+                _parse_chain(require_field(data, "right", path), f"{path}.right"),
+            )
+        except ChainCompositionError as exc:
+            raise ConfigError(path, str(exc)) from exc
+
+
+def require_field(mapping: dict, key: str, path: str):
+    if key not in mapping:
+        raise ConfigError(f"{path}.{key}", "required field is missing")
+    return mapping[key]
+
+
+def as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def as_number(value, path: str) -> float:
+    # json.loads accepts the NaN and Infinity literals; no field admits them.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def resolve_kept_rows(rate: float, order: int) -> int:
+    """Round-half-up resolution of a per-side sampling rate to kept rows."""
+    return int(math.floor(rate * order + 0.5))
+
+
+def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(path, "expected a non-empty list of chain entries")
+    chain = []
+    for i, entry in enumerate(entries):
+        entry_path = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(entry_path, "expected an object")
+        kind = require_field(entry, "kind", entry_path)
+        if kind not in CONFIG_KINDS:
+            raise ConfigError(
+                f"{entry_path}.kind", f"unknown kind {kind!r}; one of {CONFIG_KINDS}"
+            )
+        order = as_int(require_field(entry, "order", entry_path), f"{entry_path}.order")
+        kept = entry.get("kept_rows")
+        rate = entry.get("sampling_rate")
+        if kept is not None and rate is not None:
+            raise ConfigError(
+                entry_path, "give kept_rows or sampling_rate, not both"
+            )
+        if rate is not None:
+            rate = as_number(rate, f"{entry_path}.sampling_rate")
+            if not 0.0 < rate <= 1.0:
+                raise ConfigError(
+                    f"{entry_path}.sampling_rate", f"must be in (0, 1], got {rate}"
+                )
+            kept = resolve_kept_rows(rate, order)
+        if kept is not None:
+            kept = as_int(kept, f"{entry_path}.kept_rows")
+            if not 1 <= kept <= order:
+                raise ConfigError(
+                    f"{entry_path}.kept_rows", f"must be in [1, {order}], got {kept}"
+                )
+        chain.append(ChainEntry(TransformKind(kind), order, kept))
+    return tuple(chain)
 
 
 def vec_rows(x) -> np.ndarray:
@@ -246,8 +313,8 @@ def kron(left, right) -> MeasurementMatrix:
     For any X: A @ vec_rows(X) == vec_rows(L @ X @ R.T). Untruncated
     orthonormal factors give an orthonormal A.
     """
-    left = _as_factor(left)
-    right = _as_factor(right)
+    left = as_factor(left)
+    right = as_factor(right)
     n_entries = (
         left.kept_rows * right.kept_rows * left.order * right.order
     )
@@ -255,9 +322,7 @@ def kron(left, right) -> MeasurementMatrix:
         raise ResourceLimitError(
             f"kron would materialize {n_entries} entries (cap {KRON_ENTRY_CAP})"
         )
-    return MeasurementMatrix(
-        np.kron(left.entries, right.entries), left.label, right.label
-    )
+    return MeasurementMatrix(np.kron(left.entries, right.entries))
 
 
 def pattern(left, right, m: int, n: int) -> np.ndarray:
@@ -265,8 +330,8 @@ def pattern(left, right, m: int, n: int) -> np.ndarray:
 
     Equals row m * rows(R) + n of kron(L, R) reshaped to the image grid.
     """
-    left = _as_factor(left)
-    right = _as_factor(right)
+    left = as_factor(left)
+    right = as_factor(right)
     if not 0 <= m < left.kept_rows:
         raise IndexError(f"left row {m} out of range [0, {left.kept_rows})")
     if not 0 <= n < right.kept_rows:
@@ -286,14 +351,14 @@ def compose_chain(spec: HybridSpec) -> tuple[TruncatedTransform, TruncatedTransf
     def side(chain: tuple[ChainEntry, ...]) -> TruncatedTransform:
         factors = [build_transform(e.kind, e.order) for e in chain]
         if len(factors) == 1:
-            return truncate(factors[0], chain[-1].kept)
+            return truncate(factors[0], chain[-1].kept_rows)
         product = factors[0].entries
         for factor in factors[1:]:
             product = factor.entries @ product
         composite = TransformMatrix(
             TransformKind.COMPOSITE, chain[0].order, np.asarray(product)
         )
-        return truncate(composite, chain[-1].kept)
+        return truncate(composite, chain[-1].kept_rows)
 
     return side(spec.left_chain), side(spec.right_chain)
 

@@ -16,10 +16,10 @@ from .measurement import (
     HybridSpec,
     MeasurementMatrix,
     TruncatedTransform,
+    as_factor,
     compose_chain,
 )
 from .simulator import BucketSignals, RangeTag, SceneImage
-from .transforms import TransformMatrix
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,21 @@ class ReconstructionResult:
     residual_norm: float
 
 
-def _bucket_values(y) -> np.ndarray:
-    return np.asarray(getattr(y, "values", y))
-
-
-def _finish(
-    x: np.ndarray,
-    y: np.ndarray,
-    left_entries: np.ndarray,
-    right_entries: np.ndarray,
+def _invert(
+    left: TruncatedTransform,
+    right: TruncatedTransform,
+    y,
     spec: HybridSpec | None,
     range_tag: RangeTag,
 ) -> ReconstructionResult:
-    residual = float(
-        np.linalg.norm(y - left_entries @ x @ right_entries.conj().T)
-    )
+    values = np.asarray(getattr(y, "values", y))
+    if values.shape != (left.kept_rows, right.kept_rows):
+        raise ShapeError(
+            f"bucket shape {values.shape} does not match kept rows "
+            f"{left.kept_rows}x{right.kept_rows}"
+        )
+    x = left.entries.conj().T @ values @ right.entries
+    residual = float(np.linalg.norm(values - left.entries @ x @ right.entries.conj().T))
     image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
     return ReconstructionResult(image, spec, residual)
 
@@ -68,48 +68,23 @@ def reconstruct_1d(a, y) -> np.ndarray:
 
 
 def reconstruct_2d(
-    left: TransformMatrix,
-    right: TransformMatrix,
-    y,
-    range_tag: RangeTag = RangeTag.SIGNED,
+    left, right, y, range_tag: RangeTag = RangeTag.SIGNED
 ) -> ReconstructionResult:
-    """Full-sampling recovery X' = L^H @ Y @ R.
+    """Recovery X' = L^H @ Y @ R from full or truncated factors.
 
-    With noiseless buckets from orthonormal factors this reproduces the
-    object exactly. Complex factors yield a real image (the real part);
-    any complex residue shows up in residual_norm.
-    """
-    values = _bucket_values(y)
-    if values.shape != (left.order, right.order):
-        raise ShapeError(
-            f"bucket shape {values.shape} does not match orders "
-            f"{left.order}x{right.order}"
-        )
-    x = left.entries.conj().T @ values @ right.entries
-    spec = y.spec if isinstance(y, BucketSignals) else None
-    return _finish(x, values, left.entries, right.entries, spec, range_tag)
-
-
-def reconstruct_sub(
-    left_t: TruncatedTransform,
-    right_t: TruncatedTransform,
-    y,
-    range_tag: RangeTag = RangeTag.SIGNED,
-) -> ReconstructionResult:
-    """Sub-Nyquist recovery X' = L_t^H @ Y @ R_t from truncated factors.
-
-    The output has the full image dimensions. For noiseless buckets it
+    With full orthonormal factors and noiseless buckets this reproduces
+    the object exactly. With truncated factors (sub-Nyquist sampling) the
+    output keeps the full image dimensions and, for noiseless buckets,
     equals the projection L_t^T @ L_t @ X @ R_t^T @ R_t of the true image.
+    Complex factors yield a real image (the real part); any complex
+    residue shows up in residual_norm.
     """
-    values = _bucket_values(y)
-    if values.shape != (left_t.kept_rows, right_t.kept_rows):
-        raise ShapeError(
-            f"bucket shape {values.shape} does not match kept rows "
-            f"{left_t.kept_rows}x{right_t.kept_rows}"
-        )
-    x = left_t.entries.conj().T @ values @ right_t.entries
     spec = y.spec if isinstance(y, BucketSignals) else None
-    return _finish(x, values, left_t.entries, right_t.entries, spec, range_tag)
+    return _invert(as_factor(left), as_factor(right), y, spec, range_tag)
+
+
+# Sub-Nyquist recovery is the same inversion with truncated factors.
+reconstruct_sub = reconstruct_2d
 
 
 def reconstruct_chain(
@@ -117,11 +92,4 @@ def reconstruct_chain(
 ) -> ReconstructionResult:
     """Invert a chained forward model via the composed effective factors."""
     left, right = compose_chain(spec)
-    values = _bucket_values(y)
-    if values.shape != (left.kept_rows, right.kept_rows):
-        raise ShapeError(
-            f"bucket shape {values.shape} does not match spec kept rows "
-            f"{left.kept_rows}x{right.kept_rows}"
-        )
-    x = left.entries.conj().T @ values @ right.entries
-    return _finish(x, values, left.entries, right.entries, spec, range_tag)
+    return _invert(left, right, y, spec, range_tag)

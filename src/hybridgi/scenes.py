@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     UnsupportedPatternError,
 )
-from .measurement import _as_factor
+from .measurement import as_factor
 from .metrics import count_significant
 from .simulator import RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
@@ -94,8 +94,8 @@ def separable_object(left, right, m: int, n: int, binarize: bool = False) -> Sce
     each value is taken, which preserves separability only when both rows
     are two-valued; rows containing zeros are rejected.
     """
-    left = _as_factor(left)
-    right = _as_factor(right)
+    left = as_factor(left)
+    right = as_factor(right)
     if left.is_complex or right.is_complex:
         raise UnsupportedPatternError("separable objects require real factor rows")
     if not 0 <= m < left.kept_rows:

@@ -9,6 +9,7 @@ physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,10 +73,11 @@ class SceneImage:
 
     def assert_in_range(self) -> None:
         lo, hi = self.range_tag.bounds
-        if self.values.min() < lo or self.values.max() > hi:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (lo <= self.values.min() and self.values.max() <= hi):
             raise PatternRangeError(
                 f"scene values [{self.values.min():.6g}, {self.values.max():.6g}] "
-                f"exceed the declared {self.range_tag.value} range [{lo}, {hi}]"
+                f"lie outside the declared {self.range_tag.value} range [{lo}, {hi}]"
             )
 
 
@@ -87,8 +89,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not 0 <= int(self.seed) <= _MAX_SEED:
             raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
 

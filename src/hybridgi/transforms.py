@@ -46,14 +46,11 @@ class TransformMatrix:
         Side length (the matrix is order x order).
     entries : np.ndarray
         Dense float64 (complex128 for DFT) array, marked read-only.
-    normalized : bool
-        Always True for matrices emitted by the builders here.
     """
 
     kind: TransformKind
     order: int
     entries: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         self.entries.setflags(write=False)

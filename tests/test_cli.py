@@ -183,6 +183,68 @@ class TestExitCodes:
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda meta: meta.pop("noise_sigma"), id="missing-sigma"),
+            pytest.param(lambda meta: meta.update(seed="42"), id="string-seed"),
+            pytest.param(
+                lambda meta: meta["spec"]["left"][0].update(kind="bogus"), id="bogus-kind"
+            ),
+            pytest.param(
+                lambda meta: meta["spec"]["left"][0].update(kind="composite"),
+                id="composite-kind",
+            ),
+            pytest.param(
+                lambda meta: meta["spec"]["right"][0].update(order="64"), id="string-order"
+            ),
+            pytest.param(lambda meta: meta.clear(), id="empty-object"),
+            pytest.param(None, id="not-an-object"),
+        ],
+    )
+    def test_malformed_bucket_sidecar_is_io_error(self, tmp_path, capsys, edit):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["acquire", "--config", str(config_path), "--out", str(out)]) == 0
+        sidecar = out / "buckets.csv.json"
+        meta = json.loads(sidecar.read_text())
+        if edit is None:
+            meta = [meta]
+        else:
+            edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        assert main(["reconstruct", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "buckets.csv.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--sigma", "0.1"]])
+    def test_non_object_noise_with_override_is_config_error(self, tmp_path, capsys, flag):
+        config = dict(BASE_CONFIG, noise=5)
+        config_path = write_config(tmp_path, config)
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path), *flag]
+        assert main(argv) == 1
+        assert "noise" in capsys.readouterr().err
+
+    def test_nan_sigma_is_config_error(self, tmp_path, capsys):
+        config = dict(BASE_CONFIG, noise={"sigma": float("nan"), "seed": 0})
+        config_path = write_config(tmp_path, config)
+        assert "NaN" in config_path.read_text()
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        assert "noise.sigma" in capsys.readouterr().err
+
+    def test_nan_scene_is_numeric_error(self, tmp_path, capsys):
+        scene = tmp_path / "scene.csv"
+        scene.write_text("0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n")
+        config = {
+            "object": {"path": str(scene), "range": "reflectance"},
+            "hybrid": {
+                "left": [{"kind": "hadamard", "order": 4}],
+                "right": [{"kind": "dct", "order": 4}],
+            },
+        }
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+        assert "nan" in capsys.readouterr().err
+
 
 class TestFootprintCommand:
     def test_reference_numbers(self, capsys):
@@ -266,3 +328,16 @@ class TestSweep:
         assert len(rows) == 3
         assert "error" in rows[1]
         assert ",ok," in rows[2]
+
+    @pytest.mark.parametrize(
+        "sweep, field",
+        [
+            ({"base": 5}, "base"),
+            ({"base": BASE_CONFIG, "vary": 5}, "vary"),
+            ({"base": BASE_CONFIG, "vary": {"sigmas": 0.1}}, "vary.sigmas"),
+        ],
+    )
+    def test_malformed_sections_are_config_errors(self, tmp_path, capsys, sweep, field):
+        path = write_config(tmp_path, sweep, "sweep.json")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert f"{field}:" in capsys.readouterr().err

@@ -271,11 +271,17 @@ class TestModels:
             NoiseModel(-0.1, 0)
         with pytest.raises(ParameterError):
             NoiseModel(0.0, -1)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                NoiseModel(sigma, 0)
 
     def test_scene_validation(self):
         with pytest.raises(ShapeError):
             SceneImage(np.zeros(4), RangeTag.SIGNED)
         scene = SceneImage(np.full((2, 3), 2.0), RangeTag.SIGNED)
+        with pytest.raises(PatternRangeError):
+            scene.assert_in_range()
+        scene = SceneImage(np.array([[0.5, np.nan]]), RangeTag.REFLECTANCE)
         with pytest.raises(PatternRangeError):
             scene.assert_in_range()
 
