@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fileio, scenes
-from .config import ExperimentConfig, parse_config, with_overrides
+from .config import ExperimentConfig, OutputPaths, parse_config, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError
 from .measurement import HybridSpec, footprint_report
 from .metrics import count_significant, quality_report
@@ -51,6 +51,13 @@ def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_stage(args) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
+    """A stage command's config, the object it describes, and its output paths."""
+    config, base_dir = _load_config(args)
+    scene = config.object_spec.build(base_dir)
+    return config, scene, config.outputs.resolved(_out_dir(args))
 
 
 def _acquire(config: ExperimentConfig, scene: SceneImage):
@@ -120,20 +127,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_object(args) -> int:
-    config, base_dir = _load_config(args)
-    scene = config.object_spec.build(base_dir)
-    paths = config.outputs.resolved(_out_dir(args))
-    scenes.save_image(scene, paths.object_path)
+    _, scene, paths = _load_stage(args)
+    scenes.save_image(scene, paths.object)
     if not args.quiet:
-        print(f"object {scene.height}x{scene.width} -> {paths.object_path}")
+        print(f"object {scene.height}x{scene.width} -> {paths.object}")
     return 0
 
 
 def cmd_acquire(args) -> int:
-    config, base_dir = _load_config(args)
-    scene = config.object_spec.build(base_dir)
+    config, scene, paths = _load_stage(args)
     buckets = _acquire(config, scene)
-    paths = config.outputs.resolved(_out_dir(args))
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
         print(
@@ -144,10 +147,9 @@ def cmd_acquire(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config, _ = _load_config(args)
-    paths = config.outputs.resolved(_out_dir(args))
+    _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
-    result = reconstruct_chain(buckets.spec, buckets)
+    result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
     _write_reconstruction(result.image, paths.image)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
@@ -155,10 +157,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    config, base_dir = _load_config(args)
-    scene = config.object_spec.build(base_dir)
-    paths = config.outputs.resolved(_out_dir(args))
-    recon = fileio.read_csv_matrix(Path(paths.image).with_suffix(".csv"))
+    config, scene, paths = _load_stage(args)
+    recon = fileio.read_finite_matrix(Path(paths.image).with_suffix(".csv"))
     report = _score(config, scene, recon, fileio.read_buckets(paths.buckets))
     _write_report(config, paths.report, report)
     if not args.quiet:
@@ -244,13 +244,10 @@ def cmd_demo_stripes(args) -> int:
         f"orientation={spec.orientation.value} offset={spec.stagger_offset} "
         f"band={spec.band_size}"
     )
-    all_sets = [
-        ("hadamard", "dct"), ("hadamard", "haar"), ("dct", "hadamard"),
-        ("dct", "haar"), ("haar", "hadamard"), ("haar", "dct"),
-    ]
-    for left_kind, right_kind in all_sets:
+    # The six sets: every ordered pair of two distinct real kinds.
+    for left_kind, right_kind in itertools.permutations(("hadamard", "dct", "haar"), 2):
         spec2 = HybridSpec.pair(left_kind, height, right_kind, width)
-        buckets = acquire(spec2, scene, NoiseModel(0.0, 0))
+        buckets = acquire(spec2, scene, NoiseModel())
         count, positions = count_significant(buckets, 1e-6)
         where = f" at {positions[0]}" if count == 1 else ""
         print(f"{spec2.label}: significant={count}{where}")

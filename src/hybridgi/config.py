@@ -6,7 +6,7 @@ options, and the output paths. Validation failures raise ConfigError with
 the offending field path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, HybridGIError
@@ -18,12 +18,21 @@ from .measurement import (
     require_field,
     resolve_kept_rows,  # re-exported: the config schema's rate rule
 )
-from .scenes import StripeSpec, separable_object, staggered_stripes, windmill
+from .scenes import Orientation, StripeSpec, separable_object, staggered_stripes, windmill
 from .simulator import NoiseModel, RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
 from . import scenes
 
-GENERATORS = ("stripes", "windmill", "separable")
+# Per generator: (required fields, optional fields). An optional field's
+# default lives on the generator's own signature.
+GENERATOR_FIELDS = {
+    "stripes": (("height", "width", "stripe_period"),
+                ("orientation", "stagger_offset", "band_size")),
+    "windmill": (("height", "width", "blade_count"), ()),
+    "separable": (("left_kind", "left_order", "right_kind", "right_order", "row", "col"),
+                  ("binarize",)),
+}
+GENERATORS = tuple(GENERATOR_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -41,25 +50,19 @@ class ObjectSpec:
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return scenes.load_image(path, self.declared_range)
-        p = self.params
-        if self.generator == "stripes":
-            return staggered_stripes(
-                StripeSpec(
-                    height=p["height"],
-                    width=p["width"],
-                    stripe_period=p["stripe_period"],
-                    orientation=p.get("orientation", "vertical"),
-                    stagger_offset=p.get("stagger_offset", 0),
-                    band_size=p.get("band_size", 1),
-                )
-            )
-        if self.generator == "windmill":
-            return windmill(p["height"], p["width"], p["blade_count"])
-        left = build_transform(p["left_kind"], p["left_order"])
-        right = build_transform(p["right_kind"], p["right_order"])
-        return separable_object(
-            left, right, p["row"], p["col"], p.get("binarize", False)
-        )
+        p = dict(self.params)
+        # A generator is a pure function of its parameters, so whatever it
+        # rejects is a fault of the object section.
+        try:
+            if self.generator == "stripes":
+                return staggered_stripes(StripeSpec(**p))
+            if self.generator == "windmill":
+                return windmill(**p)
+            left = build_transform(p.pop("left_kind"), p.pop("left_order"))
+            right = build_transform(p.pop("right_kind"), p.pop("right_order"))
+            return separable_object(left, right, p.pop("row"), p.pop("col"), **p)
+        except (HybridGIError, IndexError) as exc:
+            raise ConfigError("object", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,14 @@ class OutputPaths:
     image: str = "reconstruction.pgm"
     buckets: str = "buckets.csv"
     report: str = "report.json"
-    object_path: str = "object.pgm"
+    object: str = "object.pgm"
 
     def resolved(self, out_dir: Path) -> "OutputPaths":
         def under(p: str) -> str:
             path = Path(p)
             return str(path if path.is_absolute() else out_dir / path)
 
-        return OutputPaths(
-            image=under(self.image),
-            buckets=under(self.buckets),
-            report=under(self.report),
-            object_path=under(self.object_path),
-        )
+        return OutputPaths(**{name: under(p) for name, p in asdict(self).items()})
 
 
 @dataclass(frozen=True)
@@ -123,26 +121,65 @@ def _parse_object(data, path: str) -> ObjectSpec:
         raise ConfigError(
             f"{path}.generator", f"unknown generator {generator!r}; one of {GENERATORS}"
         )
-    required = {
-        "stripes": ("height", "width", "stripe_period"),
-        "windmill": ("height", "width", "blade_count"),
-        "separable": ("left_kind", "left_order", "right_kind", "right_order", "row", "col"),
-    }[generator]
+    required, optional = GENERATOR_FIELDS[generator]
     for key in required:
         require_field(data, key, path)
-    int_fields = {
-        "height", "width", "stripe_period", "stagger_offset", "band_size",
-        "blade_count", "left_order", "right_order", "row", "col",
-    }
-    for key, value in data.items():
-        if key in int_fields:
-            as_int(value, f"{path}.{key}")
-        elif key == "orientation" and value not in ("horizontal", "vertical"):
-            raise ConfigError(f"{path}.orientation", f"unknown orientation {value!r}")
-        elif key in ("left_kind", "right_kind") and value not in CONFIG_KINDS:
-            raise ConfigError(f"{path}.{key}", f"unknown kind {value!r}")
     params = {k: v for k, v in data.items() if k != "generator"}
+    for key, value in params.items():
+        if key not in required + optional:
+            raise ConfigError(
+                f"{path}.{key}", f"unknown field for the {generator} generator"
+            )
+        _check_object_field(key, value, f"{path}.{key}")
     return ObjectSpec(generator, params, None, None)
+
+
+def _check_object_field(key: str, value, path: str) -> None:
+    if key == "orientation":
+        if value not in tuple(Orientation):
+            raise ConfigError(path, f"unknown orientation {value!r}")
+    elif key.endswith("_kind"):
+        if value not in CONFIG_KINDS:
+            raise ConfigError(path, f"unknown kind {value!r}")
+    elif key == "binarize":
+        if not isinstance(value, bool):
+            raise ConfigError(path, f"expected true or false, got {value!r}")
+    else:
+        as_int(value, path)
+
+
+def _fields(data: dict, section: str, checks: dict) -> dict:
+    """The checked value of each field of ``checks`` that ``section`` holds.
+
+    A field left out keeps the default of the dataclass it is passed to.
+    """
+    values = data.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(section, "expected an object")
+    return {
+        key: check(values[key], f"{section}.{key}")
+        for key, check in checks.items()
+        if key in values
+    }
+
+
+def _positive(value, path: str) -> float:
+    number = as_number(value, path)
+    if number <= 0:
+        raise ConfigError(path, f"must be positive, got {number}")
+    return number
+
+
+def _peak(value, path: str) -> float | None:
+    return None if value is None else _positive(value, path)
+
+
+def _roi(value, path: str):
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 4):
+        raise ConfigError(path, "expected [top, left, height, width]")
+    return tuple(as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -153,47 +190,19 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     hybrid = HybridSpec.from_dict(require_field(data, "hybrid", "<root>"))
 
-    noise_data = data.get("noise", {})
-    if not isinstance(noise_data, dict):
-        raise ConfigError("noise", "expected an object")
-    sigma = as_number(noise_data.get("sigma", 0.0), "noise.sigma")
-    seed = noise_data.get("seed", 0)
-    seed = as_int(seed, "noise.seed")
+    noise_fields = _fields(data, "noise", {"sigma": as_number, "seed": as_int})
     try:
-        noise = NoiseModel(sigma, seed)
+        noise = NoiseModel(**noise_fields)
     except HybridGIError as exc:
         raise ConfigError("noise", str(exc)) from exc
-
-    metrics_data = data.get("metrics", {})
-    if not isinstance(metrics_data, dict):
-        raise ConfigError("metrics", "expected an object")
-    roi = metrics_data.get("roi")
-    if roi is not None:
-        if not (isinstance(roi, list) and len(roi) == 4):
-            raise ConfigError("metrics.roi", "expected [top, left, height, width]")
-        roi = tuple(as_int(v, f"metrics.roi[{i}]") for i, v in enumerate(roi))
-    peak = metrics_data.get("peak")
-    if peak is not None:
-        peak = as_number(peak, "metrics.peak")
-        if peak <= 0:
-            raise ConfigError("metrics.peak", f"must be positive, got {peak}")
-    rel_tol = as_number(metrics_data.get("rel_tol", 1e-6), "metrics.rel_tol")
-    if rel_tol <= 0:
-        raise ConfigError("metrics.rel_tol", f"must be positive, got {rel_tol}")
-    options = MetricOptions(roi=roi, peak=peak, rel_tol=rel_tol)
-
-    outputs_data = data.get("outputs", {})
-    if not isinstance(outputs_data, dict):
-        raise ConfigError("outputs", "expected an object")
-    outputs = OutputPaths(
-        image=str(outputs_data.get("image", "reconstruction.pgm")),
-        buckets=str(outputs_data.get("buckets", "buckets.csv")),
-        report=str(outputs_data.get("report", "report.json")),
-        object_path=str(outputs_data.get("object", "object.pgm")),
+    options = MetricOptions(
+        **_fields(data, "metrics", {"roi": _roi, "peak": _peak, "rel_tol": _positive})
     )
+    names = dict.fromkeys(asdict(OutputPaths()), lambda value, path: str(value))
+    outputs = OutputPaths(**_fields(data, "outputs", names))
 
     config = ExperimentConfig(object_spec, hybrid, noise, options, outputs, raw=data)
-    if config.uses_dft and sigma != 0.0:
+    if config.uses_dft and noise.sigma != 0.0:
         raise ConfigError(
             "noise.sigma", "dft factors require sigma = 0 (ideal acquisition only)"
         )

@@ -129,6 +129,14 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.array(rows, dtype=np.complex128 if is_complex else np.float64)
 
 
+def read_finite_matrix(path) -> np.ndarray:
+    """A CSV matrix of computed data, in which NaN or Inf marks a corrupt file."""
+    values = read_csv_matrix(path)
+    if not np.isfinite(values).all():
+        raise ImageParseError(f"{path}: non-finite value in a data matrix")
+    return values
+
+
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -158,9 +166,9 @@ def read_buckets(path) -> BucketSignals:
     """Read bucket signals and their sidecar back into a BucketSignals.
 
     A malformed sidecar raises ImageParseError naming the sidecar and the
-    offending field.
+    offending field; a NaN or Inf bucket raises it naming the CSV.
     """
-    values = read_csv_matrix(path)
+    values = read_finite_matrix(path)
     sidecar = sidecar_path(path)
     try:
         meta = read_json(sidecar)

@@ -18,10 +18,10 @@ from .errors import (
     ParameterError,
     UnsupportedPatternError,
 )
-from .measurement import as_factor
+from .measurement import HybridSpec, compose_chain, pattern
 from .metrics import count_significant
 from .simulator import RangeTag, SceneImage
-from .transforms import TransformKind, build_transform
+from .transforms import TransformKind
 
 
 class Orientation(str, Enum):
@@ -94,19 +94,12 @@ def separable_object(left, right, m: int, n: int, binarize: bool = False) -> Sce
     each value is taken, which preserves separability only when both rows
     are two-valued; rows containing zeros are rejected.
     """
-    left = as_factor(left)
-    right = as_factor(right)
-    if left.is_complex or right.is_complex:
+    values = pattern(left, right, m, n)
+    if np.iscomplexobj(values):
         raise UnsupportedPatternError("separable objects require real factor rows")
-    if not 0 <= m < left.kept_rows:
-        raise IndexError(f"left row {m} out of range [0, {left.kept_rows})")
-    if not 0 <= n < right.kept_rows:
-        raise IndexError(f"right row {n} out of range [0, {right.kept_rows})")
-    u = left.entries[m]
-    v = right.entries[n]
-    values = np.outer(u, v)
     if binarize:
-        if np.any(u == 0.0) or np.any(v == 0.0):
+        # An entry of the outer product is zero exactly where a row has one.
+        if np.any(values == 0.0):
             raise DegenerateBinarizationError(
                 "cannot binarize an outer product of rows containing zeros"
             )
@@ -164,12 +157,10 @@ def single_peak_stripe_search(
     if offsets is None:
         offsets = sorted({0} | {p // 2 for p in periods} | {p // 4 for p in periods})
 
-    factors = {}
-    for left_kind, right_kind in sets:
-        for kind, order in ((left_kind, height), (right_kind, width)):
-            key = (TransformKind(kind), order)
-            if key not in factors:
-                factors[key] = build_transform(*key).entries
+    pairs = [
+        [f.entries for f in compose_chain(HybridSpec.pair(left, height, right, width))]
+        for left, right in sets
+    ]
 
     found = []
     for orientation in (Orientation.HORIZONTAL, Orientation.VERTICAL):
@@ -181,15 +172,10 @@ def single_peak_stripe_search(
                 for offset in offsets:
                     spec = StripeSpec(height, width, period, orientation, offset, band)
                     x = staggered_stripes(spec).values
-                    ok = True
-                    for left_kind, right_kind in sets:
-                        left = factors[(TransformKind(left_kind), height)]
-                        right = factors[(TransformKind(right_kind), width)]
-                        count, _ = count_significant(left @ x @ right.T, rel_tol)
-                        if count != 1:
-                            ok = False
-                            break
-                    if ok:
+                    if all(
+                        count_significant(left @ x @ right.T, rel_tol)[0] == 1
+                        for left, right in pairs
+                    ):
                         found.append(spec)
     return found
 

@@ -183,17 +183,9 @@ def measure_bucket(
     nonnegative and take two projections at 2*base_index + {0, 1}. With
     sigma = 0 the result equals the signed dot product sum(I * X).
     """
-    values = np.asarray(pattern_values)
-    if np.iscomplexobj(values):
-        raise UnsupportedPatternError(
-            "complex patterns cannot be projected; use the ideal acquisition path"
-        )
-    if values.shape != scene.values.shape:
-        raise ShapeError(
-            f"pattern shape {values.shape} != scene shape {scene.values.shape}"
-        )
+    # split_pattern rejects a complex pattern and project a shape mismatch.
     scene.assert_in_range()
-    plus, minus = split_pattern(values)
+    plus, minus = split_pattern(pattern_values)
     x = scene.values
     if scene.range_tag is RangeTag.SIGNED:
         x_plus, x_minus = (1.0 + x) / 2.0, (1.0 - x) / 2.0
@@ -208,6 +200,22 @@ def measure_bucket(
     return project(plus, x, noise, base) - project(minus, x, noise, base + 1)
 
 
+def _factors_for(spec: HybridSpec, scene: SceneImage):
+    """The composed factors of ``spec``, once ``scene`` is fit to acquire.
+
+    Both acquisition paths start here: the factor orders must match the
+    scene's shape and its values must lie in its declared range.
+    """
+    left, right = compose_chain(spec)
+    if left.order != scene.height or right.order != scene.width:
+        raise ShapeError(
+            f"spec orders {left.order}x{right.order} do not match "
+            f"scene {scene.height}x{scene.width}"
+        )
+    scene.assert_in_range()
+    return left, right
+
+
 def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSignals:
     """Simulate the full acquisition loop for one hybridization set.
 
@@ -216,17 +224,11 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     factor. At sigma = 0 the result equals L @ X @ R.T exactly (to
     rounding), with L and R the effective truncated factors.
     """
-    left, right = compose_chain(spec)
+    left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
         raise UnsupportedPatternError(
             "complex transform factors cannot be physically projected"
         )
-    if left.order != scene.height or right.order != scene.width:
-        raise ShapeError(
-            f"spec orders {left.order}x{right.order} do not match "
-            f"scene {scene.height}x{scene.width}"
-        )
-    scene.assert_in_range()
     rows_r = right.kept_rows
     buckets = np.empty((left.kept_rows, rows_r))
     for m in range(left.kept_rows):
@@ -245,11 +247,6 @@ def acquire_ideal(spec: HybridSpec, scene: SceneImage) -> BucketSignals:
     This is the math-path counterpart of :func:`acquire`; it also accepts
     complex (DFT) factors, which the physical simulator rejects.
     """
-    left, right = compose_chain(spec)
-    if left.order != scene.height or right.order != scene.width:
-        raise ShapeError(
-            f"spec orders {left.order}x{right.order} do not match "
-            f"scene {scene.height}x{scene.width}"
-        )
+    left, right = _factors_for(spec, scene)
     buckets = left.entries @ scene.values @ right.entries.conj().T
     return BucketSignals(buckets, 0.0, 0, spec)

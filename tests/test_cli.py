@@ -1,6 +1,7 @@
 """CLI and config tests: validation, artifacts, determinism, sweep."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ BASE_CONFIG = {
     "metrics": {"rel_tol": 0.01},
     "outputs": {"image": "recon.pgm", "buckets": "buckets.csv", "report": "report.json"},
 }
+
+SEPARABLE = {
+    "generator": "separable", "left_kind": "hadamard", "left_order": 32,
+    "right_kind": "dct", "right_order": 64, "row": 0, "col": 0,
+}
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_RUN_CONFIGS = sorted(
+    path.name for path in CONFIGS.glob("*.json") if not path.name.startswith("sweep")
+)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -149,6 +160,18 @@ class TestRunCommand:
         projected = left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         assert np.max(np.abs(recon - projected)) < 1e-10
 
+    @pytest.mark.parametrize("name", SHIPPED_RUN_CONFIGS)
+    def test_reconstruct_reproduces_run_image(self, tmp_path, name):
+        config_path = CONFIGS / name
+        paths = parse_config(json.loads(config_path.read_text())).outputs.resolved(tmp_path)
+        image = Path(paths.image)
+        argv = ["--config", str(config_path), "--out", str(tmp_path), "--quiet"]
+        written = []
+        for command in ("run", "reconstruct"):
+            assert main([command, *argv]) == 0
+            written.append((image.read_bytes(), image.with_suffix(".csv").read_bytes()))
+        assert written[0] == written[1]
+
     def test_stage_commands_chain_together(self, tmp_path, capsys):
         config_path = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -231,19 +254,53 @@ class TestExitCodes:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
         assert "noise.sigma" in capsys.readouterr().err
 
-    def test_nan_scene_is_numeric_error(self, tmp_path, capsys):
+    # A dft factor takes the ideal acquisition path, a dct factor the physical one.
+    @pytest.mark.parametrize("right_kind", ["dct", "dft"])
+    def test_nan_scene_is_numeric_error(self, tmp_path, capsys, right_kind):
         scene = tmp_path / "scene.csv"
         scene.write_text("0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n")
         config = {
             "object": {"path": str(scene), "range": "reflectance"},
             "hybrid": {
                 "left": [{"kind": "hadamard", "order": 4}],
-                "right": [{"kind": "dct", "order": 4}],
+                "right": [{"kind": right_kind, "order": 4}],
             },
         }
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
         assert "nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "command, name", [("reconstruct", "buckets.csv"), ("metrics", "recon.csv")]
+    )
+    def test_non_finite_data_file_is_io_error(self, tmp_path, capsys, value, command, name):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+        values = fileio.read_csv_matrix(out / name)
+        values[0, 0] = value
+        fileio.write_csv_matrix(out / name, values)
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (dict(SEPARABLE, row=99), "row 99"),
+            (dict(BASE_CONFIG["object"], blade_count=1), "blade_count"),
+            ({"generator": "stripes", "height": 32, "width": 64, "stripe_period": 3},
+             "stripe_period"),
+            (dict(SEPARABLE, binarize="yes"), "object.binarize"),
+            (dict(BASE_CONFIG["object"], blade=4), "object.blade"),
+        ],
+        ids=["row-out-of-range", "one-blade", "odd-period", "string-binarize", "unknown-key"],
+    )
+    def test_bad_generator_parameters_are_config_errors(self, tmp_path, capsys, obj, message):
+        config_path = write_config(tmp_path, dict(BASE_CONFIG, object=obj))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: object") and message in err
 
 
 class TestFootprintCommand:
