@@ -16,7 +16,7 @@ from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError
 from .measurement import HybridSpec, footprint_report
-from .metrics import count_significant, quality_report
+from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
 from .reconstruct import reconstruct_chain
 from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal
 
@@ -248,7 +248,7 @@ def cmd_demo_stripes(args) -> int:
     for left_kind, right_kind in itertools.permutations(("hadamard", "dct", "haar"), 2):
         spec2 = HybridSpec.pair(left_kind, height, right_kind, width)
         buckets = acquire(spec2, scene, NoiseModel())
-        count, positions = count_significant(buckets, 1e-6)
+        count, positions = count_significant(buckets, SIGNIFICANCE_REL_TOL)
         where = f" at {positions[0]}" if count == 1 else ""
         print(f"{spec2.label}: significant={count}{where}")
     return 0

@@ -18,6 +18,7 @@ from .measurement import (
     require_field,
     resolve_kept_rows,  # re-exported: the config schema's rate rule
 )
+from .metrics import SIGNIFICANCE_REL_TOL
 from .scenes import Orientation, StripeSpec, separable_object, staggered_stripes, windmill
 from .simulator import NoiseModel, RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
@@ -69,7 +70,7 @@ class ObjectSpec:
 class MetricOptions:
     roi: tuple[int, int, int, int] | None = None
     peak: float | None = None
-    rel_tol: float = 1e-6
+    rel_tol: float = SIGNIFICANCE_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,12 @@ def _roi(value, path: str):
     return tuple(as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _file_name(value, path: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(path, f"expected a non-empty file name, got {value!r}")
+    return value
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict and resolve it into an ExperimentConfig."""
     if not isinstance(data, dict):
@@ -198,7 +205,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     options = MetricOptions(
         **_fields(data, "metrics", {"roi": _roi, "peak": _peak, "rel_tol": _positive})
     )
-    names = dict.fromkeys(asdict(OutputPaths()), lambda value, path: str(value))
+    names = dict.fromkeys(asdict(OutputPaths()), _file_name)
     outputs = OutputPaths(**_fields(data, "outputs", names))
 
     config = ExperimentConfig(object_spec, hybrid, noise, options, outputs, raw=data)

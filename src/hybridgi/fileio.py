@@ -82,51 +82,51 @@ def write_pgm(path, values: np.ndarray) -> None:
     Path(path).write_bytes(header + values.tobytes())
 
 
-def _format_value(v) -> str:
-    if isinstance(v, complex):
-        return f"{v.real:.17g}{v.imag:+.17g}j"
-    return f"{v:.17g}"
-
-
 def write_csv_matrix(path, matrix: np.ndarray) -> None:
     """Write a 2-D matrix as CSV, one row per line, full precision."""
     matrix = np.asarray(matrix)
-    lines = [
-        ",".join(_format_value(v) for v in row.tolist()) for row in matrix
-    ]
+    height, width = matrix.shape
+    if np.iscomplexobj(matrix):
+        row_format = ",".join(["%.17g%+.17gj"] * width)
+        matrix = np.stack((matrix.real, matrix.imag), axis=-1).reshape(height, 2 * width)
+    else:
+        row_format = ",".join(["%.17g"] * width)
+    lines = [row_format % tuple(row) for row in matrix.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _bad_value(text: str, parse) -> ImageParseError:
+    """The error for the first token ``parse`` rejects, once parsing has failed."""
+    offset = 0
+    for line in text.split("\n"):
+        if line.strip():
+            for token in line.split(","):
+                try:
+                    parse(token)
+                except ValueError:
+                    token = token.strip()
+                    return ImageParseError(
+                        f"bad CSV value {token!r}", offset=offset + line.find(token)
+                    )
+        offset += len(line) + 1
 
 
 def read_csv_matrix(path) -> np.ndarray:
     """Read a CSV matrix written by write_csv_matrix (real or complex)."""
     text = Path(path).read_text()
-    rows = []
-    offset = 0
-    is_complex = False
-    for line in text.split("\n"):
-        stripped = line.strip()
-        if stripped:
-            row = []
-            for token in stripped.split(","):
-                token = token.strip()
-                try:
-                    if "j" in token:
-                        row.append(complex(token))
-                        is_complex = True
-                    else:
-                        row.append(float(token))
-                except ValueError:
-                    raise ImageParseError(
-                        f"bad CSV value {token!r}", offset=offset + line.find(token)
-                    ) from None
-            rows.append(row)
-        offset += len(line) + 1
+    rows = [line.split(",") for line in text.split("\n") if line.strip()]
+    # A complex file may hold real tokens too: complex() parses them alike.
+    parse, dtype = (complex, np.complex128) if "j" in text else (float, np.float64)
+    try:
+        values = np.array(list(map(parse, [token for row in rows for token in row])), dtype)
+    except ValueError:
+        raise _bad_value(text, parse) from None
     if not rows:
         raise ImageParseError("empty CSV matrix", offset=0)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ImageParseError(f"ragged CSV rows (widths {sorted(widths)})", offset=0)
-    return np.array(rows, dtype=np.complex128 if is_complex else np.float64)
+    return values.reshape(len(rows), widths.pop())
 
 
 def read_finite_matrix(path) -> np.ndarray:

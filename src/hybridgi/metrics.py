@@ -4,12 +4,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .simulator import RangeTag, SceneImage
 
 SSIM_WINDOW = 8
+# Default threshold of the bucket sparsity count, relative to the largest magnitude.
+SIGNIFICANCE_REL_TOL = 1e-6
 
 Roi = tuple[int, int, int, int]  # (top, left, height, width)
 
@@ -52,6 +53,25 @@ def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     return 10.0 * math.log10(peak * peak / err)
 
 
+def _window_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each interior 8x8 window over the last two axes, stride 1.
+
+    Separable shifted adds (columns, then rows) keep every sum to 8 + 8
+    terms, so no rounding error accumulates across the image as it would
+    in a summed-area table.
+    """
+    w = SSIM_WINDOW
+    cols = x.shape[-1] - w + 1
+    across = x[..., :cols].copy()
+    for k in range(1, w):
+        across += x[..., k : k + cols]
+    rows = x.shape[-2] - w + 1
+    sums = across[..., :rows, :].copy()
+    for k in range(1, w):
+        sums += across[..., k : k + rows, :]
+    return sums
+
+
 def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     """Mean structural similarity over all interior 8x8 windows, stride 1.
 
@@ -66,22 +86,33 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
         raise ShapeError(
             f"region {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window"
         )
-    win_a = sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
-    win_b = sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
     n = SSIM_WINDOW * SSIM_WINDOW
-    mu_a = win_a.mean(axis=(-2, -1))
-    mu_b = win_b.mean(axis=(-2, -1))
-    dev_a = win_a - mu_a[..., None, None]
-    dev_b = win_b - mu_b[..., None, None]
-    var_a = np.sum(dev_a**2, axis=(-2, -1)) / (n - 1)
-    var_b = np.sum(dev_b**2, axis=(-2, -1)) / (n - 1)
-    cov = np.sum(dev_a * dev_b, axis=(-2, -1)) / (n - 1)
+    sums = _window_sums(np.stack((a, b, a * a, b * b, a * b)))
+    sum_a, sum_b, sum_aa, sum_bb, sum_ab = sums
+    mu_a = sum_a / n
+    mu_b = sum_b / n
+    var_a = (sum_aa - sum_a * mu_a) / (n - 1)
+    var_b = (sum_bb - sum_b * mu_b) / (n - 1)
+    cov = (sum_ab - sum_a * mu_b) / (n - 1)
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
     return float(per_window.mean())
+
+
+def _significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket magnitudes and the mask of those above rel_tol times the max.
+
+    An all-zero matrix masks nothing, since no magnitude exceeds zero.
+    """
+    if rel_tol <= 0:
+        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
+    values = np.abs(np.asarray(getattr(y, "values", y)))
+    if values.size == 0:
+        raise ShapeError("empty bucket matrix")
+    return values, values > rel_tol * values.max()
 
 
 def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:
@@ -91,18 +122,10 @@ def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:
     magnitude. An all-zero matrix counts zero entries. The count is
     invariant under global rescaling of the signal.
     """
-    if rel_tol <= 0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
-    values = np.abs(np.asarray(getattr(y, "values", y)))
-    if values.size == 0:
-        raise ShapeError("empty bucket matrix")
-    peak = values.max()
-    if peak == 0.0:
-        return 0, []
-    rows, cols = np.nonzero(values > rel_tol * peak)
-    magnitudes = values[rows, cols]
-    order = np.argsort(-magnitudes, kind="stable")
-    positions = [(int(rows[i]), int(cols[i])) for i in order]
+    values, mask = _significant(y, rel_tol)
+    rows, cols = np.nonzero(mask)
+    order = np.argsort(-values[rows, cols], kind="stable")
+    positions = list(zip(rows[order].tolist(), cols[order].tolist()))
     return len(positions), positions
 
 
@@ -132,7 +155,7 @@ def quality_report(
     peak: float | None = None,
     roi: Roi | None = None,
     buckets=None,
-    rel_tol: float = 1e-6,
+    rel_tol: float = SIGNIFICANCE_REL_TOL,
 ) -> QualityReport:
     """Bundle psnr/ssim/mse (and bucket sparsity when buckets are given).
 
@@ -146,7 +169,7 @@ def quality_report(
             raise ParameterError("peak is required when reference is a bare array")
     count = None
     if buckets is not None:
-        count, _ = count_significant(buckets, rel_tol)
+        count = int(np.count_nonzero(_significant(buckets, rel_tol)[1]))
     return QualityReport(
         psnr_db=psnr(reference, test, peak, roi),
         ssim=ssim(reference, test, peak, roi),

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .measurement import HybridSpec, compose_chain, pattern
-from .metrics import count_significant
+from .metrics import SIGNIFICANCE_REL_TOL, _significant
 from .simulator import RangeTag, SceneImage
 from .transforms import TransformKind
 
@@ -141,7 +141,7 @@ def single_peak_stripe_search(
     periods: list[int] | None = None,
     band_sizes: list[int] | None = None,
     offsets: list[int] | None = None,
-    rel_tol: float = 1e-6,
+    rel_tol: float = SIGNIFICANCE_REL_TOL,
 ) -> list[StripeSpec]:
     """Sweep stripe parameters for configs compressing to a single bucket.
 
@@ -173,7 +173,7 @@ def single_peak_stripe_search(
                     spec = StripeSpec(height, width, period, orientation, offset, band)
                     x = staggered_stripes(spec).values
                     if all(
-                        count_significant(left @ x @ right.T, rel_tol)[0] == 1
+                        np.count_nonzero(_significant(left @ x @ right.T, rel_tol)[1]) == 1
                         for left, right in pairs
                     ):
                         found.append(spec)

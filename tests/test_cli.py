@@ -303,6 +303,19 @@ class TestExitCodes:
         assert err.startswith("config error: object") and message in err
 
 
+    @pytest.mark.parametrize(
+        "key, value", [("image", None), ("report", 5), ("buckets", "")],
+        ids=["null", "number", "empty"],
+    )
+    def test_output_names_must_be_non_empty_strings(self, tmp_path, capsys, key, value):
+        config = dict(BASE_CONFIG, outputs=dict(BASE_CONFIG["outputs"], **{key: value}))
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        assert f"outputs.{key}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestFootprintCommand:
     def test_reference_numbers(self, capsys):
         assert main(["footprint", "32", "64"]) == 0

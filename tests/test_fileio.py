@@ -106,6 +106,103 @@ class TestCsvMatrix:
             fileio.read_csv_matrix(path)
 
 
+def format_value(v) -> str:
+    """The per-value CSV format: 17 significant digits, complex as a literal."""
+    if isinstance(v, complex):
+        return f"{v.real:.17g}{v.imag:+.17g}j"
+    return f"{v:.17g}"
+
+
+def oracle_csv(matrix) -> str:
+    lines = [",".join(format_value(v) for v in row.tolist()) for row in matrix]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_REALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                       1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e22])
+
+
+def edge_matrix(seed: int, shape, dtype):
+    """Edge values drawn at random, in both parts of a complex matrix."""
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros(shape, dtype)
+    matrix.real = EDGE_REALS[rng.integers(len(EDGE_REALS), size=shape)]
+    if matrix.dtype.kind == "c":
+        matrix.imag = EDGE_REALS[rng.integers(len(EDGE_REALS), size=shape)]
+    return matrix
+
+
+class TestCsvEdgeCases:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            EDGE_REALS.reshape(3, 4),
+            np.array([[0, -7, 2**53 + 1], [3, 4, -(2**62)]]),
+            np.array([[True, False], [False, True]]),
+            np.array([[0.0, -0.0, 1.5], [-2.5, np.inf, np.nan]])[:, ::-1],
+            np.zeros((0, 3)),
+        ],
+        ids=["specials", "integers", "bools", "strided", "no-rows"],
+    )
+    def test_real_bytes_equal_per_value_format(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        fileio.write_csv_matrix(path, matrix)
+        assert path.read_text() == oracle_csv(matrix)
+
+    def test_complex_bytes_equal_per_value_format(self, tmp_path):
+        matrix = edge_matrix(5, (6, 5), np.complex128)
+        matrix[0, :4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), -2.5j]
+        path = tmp_path / "c.csv"
+        fileio.write_csv_matrix(path, matrix)
+        assert path.read_text() == oracle_csv(matrix)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_read_back_is_bitwise(self, tmp_path, dtype):
+        matrix = edge_matrix(6, (4, 7), dtype)
+        path = tmp_path / "m.csv"
+        fileio.write_csv_matrix(path, matrix)
+        read = fileio.read_csv_matrix(path)
+        assert read.dtype == matrix.dtype
+        assert read.tobytes() == matrix.tobytes()
+
+    def test_crlf_blank_lines_and_spaces_parse(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_bytes(b"\r\n 1.5 , -2\r\n\n  \r\n\t3e2,nan \r\n\n")
+        read = fileio.read_csv_matrix(path)
+        assert read.dtype == np.float64
+        assert np.array_equal(read, [[1.5, -2.0], [300.0, np.nan]], equal_nan=True)
+
+    def test_mixed_real_and_complex_tokens(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("1.5, 2-0.5j\n-inf,0j\n")
+        read = fileio.read_csv_matrix(path)
+        assert read.dtype == np.complex128
+        assert np.array_equal(read, [[1.5, 2 - 0.5j], [-np.inf, 0]])
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("1+2j,3-4j\n5+6j, 7+oopsj\n", len("1+2j,3-4j\n5+6j, ")),
+            ("1+2j,3-4j\r\n\r\n5,x\r\n", len("1+2j,3-4j\n\n5,")),
+            ("1j, 2j \n 3j,x j\n", len("1j, 2j \n 3j,")),
+        ],
+        ids=["bad-imaginary", "crlf-real-token", "spaced-token"],
+    )
+    def test_bad_token_in_complex_file_offset(self, tmp_path, text, offset):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ImageParseError) as err:
+            fileio.read_csv_matrix(path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1j,2j\n3j,4j,5j\n", "1,2\n\n3,4,\n"])
+    def test_ragged_rows_are_parse_errors(self, tmp_path, text):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ImageParseError):
+            fileio.read_csv_matrix(path)
+
+
 class TestBuckets:
     def test_roundtrip_with_sidecar(self, tmp_path):
         spec = HybridSpec.pair("hadamard", 8, "dct", 4, left_kept=5)

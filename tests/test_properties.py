@@ -2,11 +2,13 @@
 
 Each case draws a hybrid spec from a seeded generator: random kinds per
 chain entry, chain lengths 1-3, a random truncation of the outermost
-factor, and a random scene in the declared range.
+factor, and a random scene in the declared range. The metrics are checked
+against direct per-window and per-entry oracles over random images.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hybridgi import (
     BucketSignals,
@@ -18,8 +20,11 @@ from hybridgi import (
     acquire,
     acquire_ideal,
     compose_chain,
+    count_significant,
     fileio,
+    quality_report,
     reconstruct_chain,
+    ssim,
 )
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
@@ -88,3 +93,86 @@ def test_bucket_files_round_trip_bitwise(tmp_path, seed, length, range_tag):
     assert (read.noise_sigma, read.seed, read.spec) == (
         written.noise_sigma, written.seed, written.spec
     )
+
+
+def oracle_ssim(a, b, peak, roi=None):
+    """SSIM from explicit 8x8 window views: deviations from each window's mean."""
+    if roi is not None:
+        top, left, height, width = roi
+        a = a[top : top + height, left : left + width]
+        b = b[top : top + height, left : left + width]
+    win_a = sliding_window_view(a, (8, 8))
+    win_b = sliding_window_view(b, (8, 8))
+    mu_a = win_a.mean(axis=(-2, -1))
+    mu_b = win_b.mean(axis=(-2, -1))
+    dev_a = win_a - mu_a[..., None, None]
+    dev_b = win_b - mu_b[..., None, None]
+    var_a = np.sum(dev_a**2, axis=(-2, -1)) / 63
+    var_b = np.sum(dev_b**2, axis=(-2, -1)) / 63
+    cov = np.sum(dev_a * dev_b, axis=(-2, -1)) / 63
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    )
+    return float(per_window.mean())
+
+
+def random_images(rng, texture: str, peak: float):
+    """A reference and a test image of a random non-square shape from 8 to 70."""
+    height, width = (int(n) for n in rng.integers(8, 71, size=2))
+    lo = 0.0 if peak == 1.0 else -1.0
+    base = rng.uniform(lo, lo + peak)
+    if texture == "constant":
+        return np.full((height, width), base), np.full((height, width), rng.uniform(lo, lo + peak))
+    scale = 1e-9 if texture == "near-constant" else 0.2 * peak
+    reference = base + scale * rng.normal(size=(height, width))
+    return reference, reference + scale * rng.normal(size=(height, width))
+
+
+def random_roi(rng, shape):
+    height, width = (int(rng.integers(8, n + 1)) for n in shape)
+    return (int(rng.integers(shape[0] - height + 1)), int(rng.integers(shape[1] - width + 1)),
+            height, width)
+
+
+@pytest.mark.parametrize("texture", ["constant", "near-constant", "noisy"])
+@pytest.mark.parametrize("peak", [1.0, 2.0])
+@pytest.mark.parametrize("with_roi", [False, True])
+def test_ssim_equals_window_oracle(texture, peak, with_roi):
+    rng = np.random.default_rng(["constant", "near-constant", "noisy"].index(texture))
+    for _ in range(8):
+        reference, test = random_images(rng, texture, peak)
+        roi = random_roi(rng, reference.shape) if with_roi else None
+        expected = oracle_ssim(reference, test, peak, roi)
+        assert abs(ssim(reference, test, peak, roi) - expected) <= 1e-12
+
+
+def oracle_positions(y, rel_tol):
+    """Entries above rel_tol times the max, by descending magnitude, ties in row-major order."""
+    magnitudes = np.abs(y)
+    peak = magnitudes.max()
+    entries = [
+        (-magnitudes[i, j], i, j)
+        for i in range(y.shape[0]) for j in range(y.shape[1])
+        if peak > 0 and magnitudes[i, j] > rel_tol * peak
+    ]
+    return [(i, j) for _, i, j in sorted(entries)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_significant_count_equals_positions_oracle(seed, dtype):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+    # Few distinct magnitudes, signs and phases, so ties are common.
+    y = rng.integers(-3, 4, size=shape) * rng.choice([1.0, 1e-7], size=shape)
+    if dtype is np.complex128:
+        y = y * np.exp(1j * np.pi / 2 * rng.integers(4, size=shape))
+    rel_tol = float(rng.choice([1e-6, 0.1, 0.5]))
+    count, positions = count_significant(y, rel_tol)
+    assert positions == oracle_positions(y, rel_tol)
+    assert all(type(i) is int and type(j) is int for i, j in positions)
+    scene = np.zeros((8, 8))
+    report = quality_report(scene, scene, peak=1.0, buckets=y, rel_tol=rel_tol)
+    assert report.significant_count == count == len(positions)
