@@ -15,7 +15,7 @@ from pathlib import Path
 from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError
-from .measurement import HybridSpec, footprint_report
+from .measurement import HybridSpec, as_file_name, as_object, fields, footprint_report
 from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
 from .reconstruct import reconstruct_chain
 from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal
@@ -25,6 +25,7 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
+VARY_AXES = ("hybrid_sets", "sigmas", "seeds")
 SWEEP_FIELDS = (
     "index", "set", "sampling_rate", "sigma", "seed",
     "status", "psnr_db", "ssim", "mse", "significant_count", "message",
@@ -166,25 +167,25 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _axis(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list")
+    return value or [None]  # an empty axis is not varied
+
+
 def cmd_sweep(args) -> int:
     data, base_dir = _read_config_json(args)
-    if not isinstance(data, dict) or not isinstance(data.get("base"), dict):
-        raise ConfigError("base", "sweep config needs a base experiment config")
-    vary = data.get("vary", {})
-    if not isinstance(vary, dict):
-        raise ConfigError("vary", "expected an object")
-    axes = []
-    for key in ("hybrid_sets", "sigmas", "seeds"):
-        values = vary.get(key) or [None]
-        if not isinstance(values, list):
-            raise ConfigError(f"vary.{key}", "expected a list")
-        axes.append(values)
-
+    # Only the top level is checked here; each row's config is checked as it runs.
+    sweep = fields(data, "", {"base": as_object}, {
+        "vary": lambda vary, path: fields(vary, path, {}, dict.fromkeys(VARY_AXES, _axis)),
+        "table": as_file_name,
+    })
+    axes = [sweep.get("vary", {}).get(key, [None]) for key in VARY_AXES]
     out_dir = _out_dir(args)
-    table_path = out_dir / str(data.get("table", "sweep.csv"))
+    table_path = out_dir / sweep.get("table", "sweep.csv")
     rows = []
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
-        raw = dict(data["base"])
+        raw = dict(sweep["base"])
         if hybrid is not None:
             raw["hybrid"] = hybrid
         raw = with_overrides(raw, sigma=sigma, seed=seed)

@@ -11,11 +11,14 @@ from pathlib import Path
 
 from .errors import ConfigError, HybridGIError
 from .measurement import (
-    CONFIG_KINDS,
     HybridSpec,
+    as_file_name,
     as_int,
     as_number,
-    require_field,
+    as_object,
+    check_kind,
+    fields,
+    one_of,
     resolve_kept_rows,  # re-exported: the config schema's rate rule
 )
 from .metrics import SIGNIFICANCE_REL_TOL
@@ -24,16 +27,31 @@ from .simulator import NoiseModel, RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
 from . import scenes
 
-# Per generator: (required fields, optional fields). An optional field's
-# default lives on the generator's own signature.
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+# Per generator: the checks of its required and of its optional fields. An
+# optional field's default lives on the generator's own signature.
 GENERATOR_FIELDS = {
-    "stripes": (("height", "width", "stripe_period"),
-                ("orientation", "stagger_offset", "band_size")),
-    "windmill": (("height", "width", "blade_count"), ()),
-    "separable": (("left_kind", "left_order", "right_kind", "right_order", "row", "col"),
-                  ("binarize",)),
+    "stripes": (
+        {"height": as_int, "width": as_int, "stripe_period": as_int},
+        {"orientation": one_of(tuple(o.value for o in Orientation), "orientation"),
+         "stagger_offset": as_int, "band_size": as_int},
+    ),
+    "windmill": ({"height": as_int, "width": as_int, "blade_count": as_int}, {}),
+    "separable": (
+        {"left_kind": check_kind, "left_order": as_int, "right_kind": check_kind,
+         "right_order": as_int, "row": as_int, "col": as_int},
+        {"binarize": _flag},
+    ),
 }
 GENERATORS = tuple(GENERATOR_FIELDS)
+_GENERATOR = one_of(GENERATORS, "generator")
+_RANGE = one_of(tuple(r.value for r in RangeTag), "range")
 
 
 @dataclass(frozen=True)
@@ -106,62 +124,25 @@ class ExperimentConfig:
 
 
 def _parse_object(data, path: str) -> ObjectSpec:
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected an object section")
-    if "path" in data:
-        range_name = require_field(data, "range", path)
+    if "path" in as_object(data, path):
+        spec = fields(data, path, {"path": as_file_name, "range": _RANGE}, {})
+        return ObjectSpec(None, {}, spec["path"], RangeTag(spec["range"]))
+    generator = data.get("generator")
+    # An unknown generator has no fields; the check of its name rejects it.
+    required, optional = GENERATOR_FIELDS[generator] if generator in GENERATORS else ({}, {})
+    params = fields(data, path, {"generator": _GENERATOR, **required}, optional)
+    return ObjectSpec(params.pop("generator"), params, None, None)
+
+
+def _section(cls, checks: dict):
+    """The check of a section of optional fields, which builds a ``cls``."""
+    def check(value, path: str):
+        values = fields(value, path, {}, checks)
         try:
-            declared = RangeTag(range_name)
-        except ValueError:
-            raise ConfigError(
-                f"{path}.range", f"unknown range {range_name!r}"
-            ) from None
-        return ObjectSpec(None, {}, str(data["path"]), declared)
-    generator = require_field(data, "generator", path)
-    if generator not in GENERATORS:
-        raise ConfigError(
-            f"{path}.generator", f"unknown generator {generator!r}; one of {GENERATORS}"
-        )
-    required, optional = GENERATOR_FIELDS[generator]
-    for key in required:
-        require_field(data, key, path)
-    params = {k: v for k, v in data.items() if k != "generator"}
-    for key, value in params.items():
-        if key not in required + optional:
-            raise ConfigError(
-                f"{path}.{key}", f"unknown field for the {generator} generator"
-            )
-        _check_object_field(key, value, f"{path}.{key}")
-    return ObjectSpec(generator, params, None, None)
-
-
-def _check_object_field(key: str, value, path: str) -> None:
-    if key == "orientation":
-        if value not in tuple(Orientation):
-            raise ConfigError(path, f"unknown orientation {value!r}")
-    elif key.endswith("_kind"):
-        if value not in CONFIG_KINDS:
-            raise ConfigError(path, f"unknown kind {value!r}")
-    elif key == "binarize":
-        if not isinstance(value, bool):
-            raise ConfigError(path, f"expected true or false, got {value!r}")
-    else:
-        as_int(value, path)
-
-
-def _fields(data: dict, section: str, checks: dict) -> dict:
-    """The checked value of each field of ``checks`` that ``section`` holds.
-
-    A field left out keeps the default of the dataclass it is passed to.
-    """
-    values = data.get(section, {})
-    if not isinstance(values, dict):
-        raise ConfigError(section, "expected an object")
-    return {
-        key: check(values[key], f"{section}.{key}")
-        for key, check in checks.items()
-        if key in values
-    }
+            return cls(**values)
+        except HybridGIError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    return check
 
 
 def _positive(value, path: str) -> float:
@@ -183,33 +164,23 @@ def _roi(value, path: str):
     return tuple(as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _file_name(value, path: str) -> str:
-    if not (isinstance(value, str) and value):
-        raise ConfigError(path, f"expected a non-empty file name, got {value!r}")
-    return value
+SECTIONS = {
+    "noise": _section(NoiseModel, {"sigma": as_number, "seed": as_int}),
+    "metrics": _section(MetricOptions, {"roi": _roi, "peak": _peak, "rel_tol": _positive}),
+    "outputs": _section(OutputPaths, dict.fromkeys(asdict(OutputPaths()), as_file_name)),
+}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict and resolve it into an ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    object_spec = _parse_object(require_field(data, "object", "<root>"), "object")
-
-    hybrid = HybridSpec.from_dict(require_field(data, "hybrid", "<root>"))
-
-    noise_fields = _fields(data, "noise", {"sigma": as_number, "seed": as_int})
-    try:
-        noise = NoiseModel(**noise_fields)
-    except HybridGIError as exc:
-        raise ConfigError("noise", str(exc)) from exc
-    options = MetricOptions(
-        **_fields(data, "metrics", {"roi": _roi, "peak": _peak, "rel_tol": _positive})
+    required = {"object": _parse_object, "hybrid": HybridSpec.from_dict}
+    sections = fields(data, "", required, SECTIONS)
+    config = ExperimentConfig(
+        sections["object"], sections["hybrid"], sections.get("noise", NoiseModel()),
+        sections.get("metrics", MetricOptions()), sections.get("outputs", OutputPaths()),
+        raw=data,
     )
-    names = dict.fromkeys(asdict(OutputPaths()), _file_name)
-    outputs = OutputPaths(**_fields(data, "outputs", names))
-
-    config = ExperimentConfig(object_spec, hybrid, noise, options, outputs, raw=data)
-    if config.uses_dft and noise.sigma != 0.0:
+    if config.uses_dft and config.noise.sigma != 0.0:
         raise ConfigError(
             "noise.sigma", "dft factors require sigma = 0 (ideal acquisition only)"
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ImageParseError, ResourceLimitError
-from .measurement import HybridSpec, as_int, as_number, require_field
+from .measurement import HybridSpec, as_int, as_number, fields
 from .simulator import BucketSignals
 
 MAX_PIXELS = 1 << 26
@@ -99,16 +99,16 @@ def _bad_value(text: str, parse) -> ImageParseError:
     """The error for the first token ``parse`` rejects, once parsing has failed."""
     offset = 0
     for line in text.split("\n"):
-        if line.strip():
-            for token in line.split(","):
-                try:
+        for token in line.split(","):
+            try:
+                if line.strip():  # a blank line holds no value
                     parse(token)
-                except ValueError:
-                    token = token.strip()
-                    return ImageParseError(
-                        f"bad CSV value {token!r}", offset=offset + line.find(token)
-                    )
-        offset += len(line) + 1
+            except ValueError:
+                value = token.strip()
+                return ImageParseError(
+                    f"bad CSV value {value!r}", offset=offset + token.find(value)
+                )
+            offset += len(token) + 1  # the token and its comma or newline
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -171,12 +171,8 @@ def read_buckets(path) -> BucketSignals:
     values = read_finite_matrix(path)
     sidecar = sidecar_path(path)
     try:
-        meta = read_json(sidecar)
-        if not isinstance(meta, dict):
-            raise ConfigError("<root>", "expected a JSON object")
-        sigma = as_number(require_field(meta, "noise_sigma", "<root>"), "noise_sigma")
-        seed = as_int(require_field(meta, "seed", "<root>"), "seed")
-        spec = HybridSpec.from_dict(require_field(meta, "spec", "<root>"), "spec")
+        checks = {"spec": HybridSpec.from_dict, "noise_sigma": as_number, "seed": as_int}
+        meta = fields(read_json(sidecar), "", checks, {})
     except (ConfigError, json.JSONDecodeError) as exc:
         raise ImageParseError(f"bucket sidecar {sidecar}: {exc}") from exc
-    return BucketSignals(values, sigma, seed, spec)
+    return BucketSignals(values, meta["noise_sigma"], meta["seed"], meta["spec"])

@@ -28,7 +28,6 @@ _KIND_SHORT = {
     TransformKind.HAAR: "haar",
     TransformKind.DFT: "dft",
     TransformKind.IDENTITY: "id",
-    TransformKind.COMPOSITE: "mix",
 }
 
 
@@ -110,6 +109,8 @@ class ChainEntry:
     kept_rows: int | None = None
 
     def __post_init__(self):
+        if self.kind not in CONFIG_KINDS:
+            raise ChainCompositionError(f"unknown kind {self.kind!r}; one of {CONFIG_KINDS}")
         object.__setattr__(self, "kind", TransformKind(self.kind))
         if self.kept_rows is None:
             object.__setattr__(self, "kept_rows", self.order)
@@ -163,8 +164,8 @@ class HybridSpec:
     ) -> "HybridSpec":
         """The common two-matrix case: one factor per side."""
         return cls(
-            (ChainEntry(TransformKind(left_kind), left_order, left_kept),),
-            (ChainEntry(TransformKind(right_kind), right_order, right_kept),),
+            (ChainEntry(left_kind, left_order, left_kept),),
+            (ChainEntry(right_kind, right_order, right_kept),),
         )
 
     @property
@@ -212,21 +213,45 @@ class HybridSpec:
         and an order, and optionally kept_rows or sampling_rate. Any
         violation raises ConfigError with the offending field path.
         """
-        if not isinstance(data, dict):
-            raise ConfigError(path, "expected an object with left and right chains")
+        chains = fields(data, path, {"left": _parse_chain, "right": _parse_chain}, {})
         try:
-            return cls(
-                _parse_chain(require_field(data, "left", path), f"{path}.left"),
-                _parse_chain(require_field(data, "right", path), f"{path}.right"),
-            )
+            return cls(chains["left"], chains["right"])
         except ChainCompositionError as exc:
             raise ConfigError(path, str(exc)) from exc
 
 
+def _field_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key  # a root's fields have bare names
+
+
 def require_field(mapping: dict, key: str, path: str):
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
+        raise ConfigError(_field_path(path, key), "required field is missing")
     return mapping[key]
+
+
+def fields(data, path: str, required: dict, optional: dict) -> dict:
+    """Each field of the JSON object ``data``, through its check(value, field_path).
+
+    The two tables hold every key the object may have; any other key, or a
+    missing required one, is a ConfigError. An absent optional key is absent
+    from the result.
+    """
+    as_object(data, path)
+    for key in required:
+        require_field(data, key, path)
+    values = {key: check(data[key], _field_path(path, key))
+              for key, check in {**required, **optional}.items() if key in data}
+    for key in data:
+        if key not in required and key not in optional:
+            raise ConfigError(_field_path(path, key), "unknown field")
+    return values
+
+
+def as_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path or "<root>", f"expected a JSON object, got {value!r}")
+    return value
 
 
 def as_int(value, path: str) -> int:
@@ -246,9 +271,34 @@ def as_number(value, path: str) -> float:
     return float(value)
 
 
+def as_file_name(value, path: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(path, f"expected a non-empty file name, got {value!r}")
+    return value
+
+
+def one_of(choices: tuple, what: str):
+    """The check that a value is one of ``choices``, naming it ``what``."""
+    def check(value, path: str):
+        if value not in choices:
+            raise ConfigError(path, f"unknown {what} {value!r}; one of {choices}")
+        return value
+    return check
+
+
 def resolve_kept_rows(rate: float, order: int) -> int:
     """Round-half-up resolution of a per-side sampling rate to kept rows."""
     return int(math.floor(rate * order + 0.5))
+
+
+check_kind = one_of(CONFIG_KINDS, "kind")
+
+
+def _sampling_rate(value, path: str) -> float:
+    rate = as_number(value, path)
+    if not 0.0 < rate <= 1.0:
+        raise ConfigError(path, f"must be in (0, 1], got {rate}")
+    return rate
 
 
 def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
@@ -257,34 +307,13 @@ def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
     chain = []
     for i, entry in enumerate(entries):
         entry_path = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(entry_path, "expected an object")
-        kind = require_field(entry, "kind", entry_path)
-        if kind not in CONFIG_KINDS:
-            raise ConfigError(
-                f"{entry_path}.kind", f"unknown kind {kind!r}; one of {CONFIG_KINDS}"
-            )
-        order = as_int(require_field(entry, "order", entry_path), f"{entry_path}.order")
-        kept = entry.get("kept_rows")
-        rate = entry.get("sampling_rate")
-        if kept is not None and rate is not None:
-            raise ConfigError(
-                entry_path, "give kept_rows or sampling_rate, not both"
-            )
-        if rate is not None:
-            rate = as_number(rate, f"{entry_path}.sampling_rate")
-            if not 0.0 < rate <= 1.0:
-                raise ConfigError(
-                    f"{entry_path}.sampling_rate", f"must be in (0, 1], got {rate}"
-                )
-            kept = resolve_kept_rows(rate, order)
-        if kept is not None:
-            kept = as_int(kept, f"{entry_path}.kept_rows")
-            if not 1 <= kept <= order:
-                raise ConfigError(
-                    f"{entry_path}.kept_rows", f"must be in [1, {order}], got {kept}"
-                )
-        chain.append(ChainEntry(TransformKind(kind), order, kept))
+        entry = fields(entry, entry_path, {"kind": check_kind, "order": as_int},
+                       {"kept_rows": as_int, "sampling_rate": _sampling_rate})
+        if "sampling_rate" in entry:
+            if "kept_rows" in entry:
+                raise ConfigError(entry_path, "give kept_rows or sampling_rate, not both")
+            entry["kept_rows"] = resolve_kept_rows(entry.pop("sampling_rate"), entry["order"])
+        chain.append(ChainEntry(**entry))
     return tuple(chain)
 
 

@@ -223,6 +223,12 @@ class TestExitCodes:
             ),
             pytest.param(lambda meta: meta.clear(), id="empty-object"),
             pytest.param(None, id="not-an-object"),
+            pytest.param(lambda meta: meta.update(sigma=0.0), id="unknown-root-key"),
+            pytest.param(lambda meta: meta["spec"].update(middle=[]), id="unknown-spec-key"),
+            pytest.param(
+                lambda meta: meta["spec"]["left"][0].update(kept_row=4),
+                id="unknown-chain-entry-key",
+            ),
         ],
     )
     def test_malformed_bucket_sidecar_is_io_error(self, tmp_path, capsys, edit):
@@ -238,6 +244,53 @@ class TestExitCodes:
         sidecar.write_text(json.dumps(meta))
         assert main(["reconstruct", "--config", str(config_path), "--out", str(out)]) == 2
         assert "buckets.csv.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, key, field",
+        [
+            ((), "nosie", "nosie"),
+            (("hybrid",), "middle", "hybrid.middle"),
+            # A misspelt kept_rows would otherwise run at full sampling.
+            (("hybrid", "left", 0), "kept_row", "hybrid.left[0].kept_row"),
+            (("noise",), "sigmaa", "noise.sigmaa"),
+            (("metrics",), "roi_box", "metrics.roi_box"),
+            (("outputs",), "reconstruction", "outputs.reconstruction"),
+        ],
+        ids=["root", "hybrid", "chain-entry", "noise", "metrics", "outputs"],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, where, key, field):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        section = config
+        for step in where:
+            section = section[step]
+        section[key] = 4
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        assert f"config error: {field}: unknown field" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "entry, got",
+        [({"kept_rows": 40}, 40), ({"kept_rows": 0}, 0), ({"sampling_rate": 0.01}, 0)],
+        ids=["above-order", "zero", "rate-resolves-to-zero"],
+    )
+    def test_kept_rows_out_of_range_is_config_error(self, tmp_path, capsys, entry, got):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hybrid"]["left"][0] = {"kind": "hadamard", "order": 32, **entry}
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"hybrid: left chain kept_rows must be in [1, 32], got {got}" in err
+
+    @pytest.mark.parametrize("value", [None, 5, ""], ids=["null", "number", "empty"])
+    def test_object_path_must_be_a_file_name(self, tmp_path, capsys, value):
+        config = dict(BASE_CONFIG, object={"path": value, "range": "signed"})
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        assert "object.path" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "7"], ["--sigma", "0.1"]])
     def test_non_object_noise_with_override_is_config_error(self, tmp_path, capsys, flag):
@@ -293,8 +346,10 @@ class TestExitCodes:
              "stripe_period"),
             (dict(SEPARABLE, binarize="yes"), "object.binarize"),
             (dict(BASE_CONFIG["object"], blade=4), "object.blade"),
+            ({"path": "object.csv", "range": "signed", "scale": 2}, "object.scale"),
         ],
-        ids=["row-out-of-range", "one-blade", "odd-period", "string-binarize", "unknown-key"],
+        ids=["row-out-of-range", "one-blade", "odd-period", "string-binarize", "unknown-key",
+             "unknown-path-form-key"],
     )
     def test_bad_generator_parameters_are_config_errors(self, tmp_path, capsys, obj, message):
         config_path = write_config(tmp_path, dict(BASE_CONFIG, object=obj))
@@ -399,15 +454,37 @@ class TestSweep:
         assert "error" in rows[1]
         assert ",ok," in rows[2]
 
+    def test_shipped_sweep_config_is_accepted(self, tmp_path):
+        # The shipped run configs are run by test_reconstruct_reproduces_run_image.
+        path = CONFIGS / "sweep_six_sets.json"
+        table = tmp_path / json.loads(path.read_text())["table"]
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = table.read_text().strip().split("\n")[1:]
+        assert len(rows) == 24
+        assert all(",ok," in row for row in rows)
+
     @pytest.mark.parametrize(
         "sweep, field",
         [
             ({"base": 5}, "base"),
             ({"base": BASE_CONFIG, "vary": 5}, "vary"),
             ({"base": BASE_CONFIG, "vary": {"sigmas": 0.1}}, "vary.sigmas"),
+            ({"base": BASE_CONFIG, "vary": {"sigmas": 0}}, "vary.sigmas"),
+            ({"base": BASE_CONFIG, "vary": {"sigmas": False}}, "vary.sigmas"),
+            ({"base": BASE_CONFIG, "vary": {"sigma": [0.1]}}, "vary.sigma"),
+            ({"base": BASE_CONFIG, "tabel": "out.csv"}, "tabel"),
+            ({"vary": {"sigmas": [0.1]}}, "base"),
         ],
     )
     def test_malformed_sections_are_config_errors(self, tmp_path, capsys, sweep, field):
         path = write_config(tmp_path, sweep, "sweep.json")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 5, ""], ids=["null", "number", "empty"])
+    def test_table_must_be_a_file_name(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "table": value}, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "table:" in capsys.readouterr().err
+        assert not out.exists()

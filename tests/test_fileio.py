@@ -195,6 +195,18 @@ class TestCsvEdgeCases:
             fileio.read_csv_matrix(path)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("1+2j,,3j\n", 5), ("1,2\n3,,4\n", 6), ("1,2,\n", 4), ("1e5,e5\n", 4)],
+        ids=["empty-complex", "empty-second-line", "trailing-comma", "repeated-text"],
+    )
+    def test_bad_token_offset_is_its_column(self, tmp_path, text, offset):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ImageParseError) as err:
+            fileio.read_csv_matrix(path)
+        assert err.value.offset == offset
+
     @pytest.mark.parametrize("text", ["1,2\n3\n", "1j,2j\n3j,4j,5j\n", "1,2\n\n3,4,\n"])
     def test_ragged_rows_are_parse_errors(self, tmp_path, text):
         path = tmp_path / "ragged.csv"

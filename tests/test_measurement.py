@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hybridgi.measurement import CONFIG_KINDS, as_int, fields
+
 from hybridgi import (
     ChainCompositionError,
     ChainEntry,
+    ConfigError,
     HybridSpec,
     ResourceLimitError,
     ShapeError,
@@ -21,6 +24,7 @@ from hybridgi import (
     kron,
     orthonormality_defect,
     pattern,
+    single_peak_stripe_search,
     truncate,
     unvec,
     vec_rows,
@@ -266,6 +270,61 @@ class TestHybridSpec:
     def test_kept_rows_bounds(self):
         with pytest.raises(ChainCompositionError):
             HybridSpec.pair("hadamard", 8, "dct", 8, left_kept=0)
+
+
+class TestChainEntryKinds:
+    @pytest.mark.parametrize(
+        "kind", ["bogus", "composite", TransformKind.COMPOSITE, 5, None]
+    )
+    def test_kind_outside_config_kinds_is_chain_error(self, kind):
+        with pytest.raises(ChainCompositionError, match="unknown kind"):
+            ChainEntry(kind, 8)
+        with pytest.raises(ChainCompositionError, match="unknown kind"):
+            HybridSpec.pair(kind, 8, "dct", 8)
+
+    def test_stripe_search_with_unknown_kind_is_chain_error(self):
+        with pytest.raises(ChainCompositionError):
+            single_peak_stripe_search(8, 8, [("fourier", "dct")])
+
+    def test_every_config_kind_has_a_label(self):
+        labels = {HybridSpec.pair(kind, 8, "dct", 8).label for kind in CONFIG_KINDS}
+        assert labels == {"had8-dct8", "dct8-dct8", "haar8-dct8", "dft8-dct8", "id8-dct8"}
+
+
+class TestFields:
+    def test_checks_each_present_field_with_its_path(self):
+        seen = []
+
+        def check(value, path):
+            seen.append(path)
+            return value * 2
+
+        values = fields({"a": 1, "b": 2}, "sec", {"a": check}, {"b": check, "c": check})
+        assert values == {"a": 2, "b": 4}
+        assert seen == ["sec.a", "sec.b"]
+
+    def test_root_fields_have_bare_names(self):
+        with pytest.raises(ConfigError) as err:
+            fields({"a": 1, "z": 0}, "", {"a": as_int}, {})
+        assert err.value.field == "z"
+        with pytest.raises(ConfigError) as err:
+            fields({}, "", {"a": as_int}, {})
+        assert err.value.field == "a"
+
+    @pytest.mark.parametrize(
+        "data, field, message",
+        [
+            ([1], "sec", "expected a JSON object"),
+            ({"b": 1}, "sec.a", "required field is missing"),
+            ({"a": 1, "z": 0}, "sec.z", "unknown field"),
+            ({"a": "1"}, "sec.a", "expected an integer"),
+        ],
+        ids=["not-an-object", "missing", "unknown", "bad-value"],
+    )
+    def test_rejections_name_the_field(self, data, field, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            fields(data, "sec", {"a": as_int}, {"b": as_int})
+        assert err.value.field == field
 
 
 class TestFootprint:
