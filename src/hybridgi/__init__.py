@@ -6,6 +6,8 @@ projector / bucket-detector acquisition, reconstructs images by inverse
 transforms under full and sub-Nyquist sampling, and scores the results.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ChainCompositionError,
     ConfigError,
@@ -86,68 +88,8 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BucketSignals",
-    "ChainCompositionError",
-    "ChainEntry",
-    "ConfigError",
-    "DegenerateBinarizationError",
-    "DegeneratePatternError",
-    "FootprintReport",
-    "HybridGIError",
-    "HybridSpec",
-    "ImageParseError",
-    "InvalidOrderError",
-    "MeasurementMatrix",
-    "NoiseModel",
-    "Orientation",
-    "ParameterError",
-    "PatternRangeError",
-    "QualityReport",
-    "RangeTag",
-    "ReconstructionResult",
-    "ResourceLimitError",
-    "SceneImage",
-    "ShapeError",
-    "StripeSpec",
-    "TransformKind",
-    "TransformMatrix",
-    "TruncatedTransform",
-    "UnsupportedPatternError",
-    "acquire",
-    "acquire_ideal",
-    "build_dct",
-    "build_dft",
-    "build_hadamard",
-    "build_haar",
-    "build_identity",
-    "build_transform",
-    "compose_chain",
-    "count_significant",
-    "footprint_report",
-    "haar_raw_rows",
-    "kron",
-    "load_image",
-    "measure_bucket",
-    "mse",
-    "normalize_pattern",
-    "orthonormality_defect",
-    "pattern",
-    "project",
-    "psnr",
-    "quality_report",
-    "reconstruct_1d",
-    "reconstruct_2d",
-    "reconstruct_chain",
-    "reconstruct_sub",
-    "save_image",
-    "separable_object",
-    "single_peak_stripe_search",
-    "split_pattern",
-    "ssim",
-    "staggered_stripes",
-    "truncate",
-    "unvec",
-    "vec_rows",
-    "windmill",
-]
+# The public API is every name imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -183,13 +183,14 @@ def cmd_sweep(args) -> int:
     axes = [sweep.get("vary", {}).get(key, [None]) for key in VARY_AXES]
     out_dir = _out_dir(args)
     table_path = out_dir / sweep.get("table", "sweep.csv")
+    # The flags set the base, so that a varied axis wins over them.
+    base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)
     rows = []
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
-        raw = dict(sweep["base"])
+        raw = dict(base)
         if hybrid is not None:
             raw["hybrid"] = hybrid
         raw = with_overrides(raw, sigma=sigma, seed=seed)
-        raw = with_overrides(raw, sigma=args.sigma, seed=args.seed)
         row = dict.fromkeys(SWEEP_FIELDS, "")
         row["index"] = index
         try:

@@ -22,10 +22,11 @@ from .measurement import (
     resolve_kept_rows,  # re-exported: the config schema's rate rule
 )
 from .metrics import SIGNIFICANCE_REL_TOL
-from .scenes import Orientation, StripeSpec, separable_object, staggered_stripes, windmill
+from .scenes import (
+    Orientation, StripeSpec, load_image, separable_object, staggered_stripes, windmill,
+)
 from .simulator import NoiseModel, RangeTag, SceneImage
 from .transforms import TransformKind, build_transform
-from . import scenes
 
 
 def _flag(value, path: str) -> bool:
@@ -68,7 +69,7 @@ class ObjectSpec:
             path = Path(self.path)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            return scenes.load_image(path, self.declared_range)
+            return load_image(path, self.declared_range)
         p = dict(self.params)
         # A generator is a pure function of its parameters, so whatever it
         # rejects is a fault of the object section.

@@ -2,8 +2,9 @@
 
 A measurement is described by a left factor L (kept_rows_L x M) acting on
 image rows and a right factor R (kept_rows_R x N) acting on image columns.
-The equivalent one-dimensional measurement matrix is A = kron(L, R): with
-row-major vectorization, A @ vec_rows(X) == vec_rows(L @ X @ R.T).
+The forward model is Y = L @ X @ R^H, computed by :func:`forward` alone.
+Its one-dimensional form is A = kron(L, conj(R)): with row-major
+vectorization, A @ vec_rows(X) == vec_rows(forward(L, R, X)).
 
 Index maps (0-based): measurement k = m * kept_rows_R + n pairs left row m
 with right row n; image column l = i * N + j addresses pixel (i, j).
@@ -335,12 +336,21 @@ def unvec(v, height: int, width: int) -> np.ndarray:
     return v.reshape(height, width)
 
 
-def kron(left, right) -> MeasurementMatrix:
-    """Dense measurement matrix A = kron(L, R).
+def forward(left, right, x) -> np.ndarray:
+    """The forward model Y = L @ X @ R^H of a factor pair.
 
-    A[k, l] = L[m, i] * R[n, j] with k = m * rows(R) + n and l = i * N + j.
-    For any X: A @ vec_rows(X) == vec_rows(L @ X @ R.T). Untruncated
-    orthonormal factors give an orthonormal A.
+    Entry (m, n) is the bucket of measurement (m, n): the dot product of
+    the scene with pattern(left, right, m, n).
+    """
+    return as_factor(left).entries @ x @ as_factor(right).entries.conj().T
+
+
+def kron(left, right) -> MeasurementMatrix:
+    """Dense measurement matrix A = kron(L, conj(R)).
+
+    A[k, l] = L[m, i] * conj(R[n, j]) with k = m * rows(R) + n and
+    l = i * N + j. For any X: A @ vec_rows(X) == vec_rows(forward(L, R, X)).
+    Untruncated orthonormal factors give an orthonormal A.
     """
     left = as_factor(left)
     right = as_factor(right)
@@ -351,11 +361,11 @@ def kron(left, right) -> MeasurementMatrix:
         raise ResourceLimitError(
             f"kron would materialize {n_entries} entries (cap {KRON_ENTRY_CAP})"
         )
-    return MeasurementMatrix(np.kron(left.entries, right.entries))
+    return MeasurementMatrix(np.kron(left.entries, right.entries.conj()))
 
 
 def pattern(left, right, m: int, n: int) -> np.ndarray:
-    """Projection pattern for measurement (m, n): outer(L row m, R row n).
+    """Projection pattern for measurement (m, n): outer(L row m, conj(R row n)).
 
     Equals row m * rows(R) + n of kron(L, R) reshaped to the image grid.
     """
@@ -365,7 +375,7 @@ def pattern(left, right, m: int, n: int) -> np.ndarray:
         raise IndexError(f"left row {m} out of range [0, {left.kept_rows})")
     if not 0 <= n < right.kept_rows:
         raise IndexError(f"right row {n} out of range [0, {right.kept_rows})")
-    return np.outer(left.entries[m], right.entries[n])
+    return np.outer(left.entries[m], right.entries[n].conj())
 
 
 def compose_chain(spec: HybridSpec) -> tuple[TruncatedTransform, TruncatedTransform]:

@@ -102,7 +102,7 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     return float(per_window.mean())
 
 
-def _significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The bucket magnitudes and the mask of those above rel_tol times the max.
 
     An all-zero matrix masks nothing, since no magnitude exceeds zero.
@@ -122,7 +122,7 @@ def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:
     magnitude. An all-zero matrix counts zero entries. The count is
     invariant under global rescaling of the signal.
     """
-    values, mask = _significant(y, rel_tol)
+    values, mask = significant(y, rel_tol)
     rows, cols = np.nonzero(mask)
     order = np.argsort(-values[rows, cols], kind="stable")
     positions = list(zip(rows[order].tolist(), cols[order].tolist()))
@@ -169,7 +169,7 @@ def quality_report(
             raise ParameterError("peak is required when reference is a bare array")
     count = None
     if buckets is not None:
-        count = int(np.count_nonzero(_significant(buckets, rel_tol)[1]))
+        count = int(np.count_nonzero(significant(buckets, rel_tol)[1]))
     return QualityReport(
         psnr_db=psnr(reference, test, peak, roi),
         ssim=ssim(reference, test, peak, roi),

@@ -18,6 +18,7 @@ from .measurement import (
     TruncatedTransform,
     as_factor,
     compose_chain,
+    forward,
 )
 from .simulator import BucketSignals, RangeTag, SceneImage
 
@@ -50,7 +51,7 @@ def _invert(
             f"{left.kept_rows}x{right.kept_rows}"
         )
     x = left.entries.conj().T @ values @ right.entries
-    residual = float(np.linalg.norm(values - left.entries @ x @ right.entries.conj().T))
+    residual = float(np.linalg.norm(values - forward(left, right, x)))
     image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
     return ReconstructionResult(image, spec, residual)
 
@@ -75,7 +76,7 @@ def reconstruct_2d(
     With full orthonormal factors and noiseless buckets this reproduces
     the object exactly. With truncated factors (sub-Nyquist sampling) the
     output keeps the full image dimensions and, for noiseless buckets,
-    equals the projection L_t^T @ L_t @ X @ R_t^T @ R_t of the true image.
+    equals the projection L_t^H @ L_t @ X @ R_t^H @ R_t of the true image.
     Complex factors yield a real image (the real part); any complex
     residue shows up in residual_norm.
     """

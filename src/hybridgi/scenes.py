@@ -18,8 +18,8 @@ from .errors import (
     ParameterError,
     UnsupportedPatternError,
 )
-from .measurement import HybridSpec, compose_chain, pattern
-from .metrics import SIGNIFICANCE_REL_TOL, _significant
+from .measurement import HybridSpec, compose_chain, forward, pattern
+from .metrics import SIGNIFICANCE_REL_TOL, significant
 from .simulator import RangeTag, SceneImage
 from .transforms import TransformKind
 
@@ -157,10 +157,8 @@ def single_peak_stripe_search(
     if offsets is None:
         offsets = sorted({0} | {p // 2 for p in periods} | {p // 4 for p in periods})
 
-    pairs = [
-        [f.entries for f in compose_chain(HybridSpec.pair(left, height, right, width))]
-        for left, right in sets
-    ]
+    pairs = [compose_chain(HybridSpec.pair(left, height, right, width))
+             for left, right in sets]
 
     found = []
     for orientation in (Orientation.HORIZONTAL, Orientation.VERTICAL):
@@ -173,7 +171,7 @@ def single_peak_stripe_search(
                     spec = StripeSpec(height, width, period, orientation, offset, band)
                     x = staggered_stripes(spec).values
                     if all(
-                        np.count_nonzero(_significant(left @ x @ right.T, rel_tol)[1]) == 1
+                        np.count_nonzero(significant(forward(left, right, x), rel_tol)[1]) == 1
                         for left, right in pairs
                     ):
                         found.append(spec)

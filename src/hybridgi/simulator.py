@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     UnsupportedPatternError,
 )
-from .measurement import HybridSpec, compose_chain, pattern
+from .measurement import HybridSpec, compose_chain, forward, pattern
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -221,7 +221,7 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
 
     Every kept (m, n) pattern is normalized to [-1, 1], split, projected
     against the scene, and the bucket value rescaled by the normalization
-    factor. At sigma = 0 the result equals L @ X @ R.T exactly (to
+    factor. At sigma = 0 the result equals L @ X @ R^H exactly (to
     rounding), with L and R the effective truncated factors.
     """
     left, right = _factors_for(spec, scene)
@@ -247,6 +247,4 @@ def acquire_ideal(spec: HybridSpec, scene: SceneImage) -> BucketSignals:
     This is the math-path counterpart of :func:`acquire`; it also accepts
     complex (DFT) factors, which the physical simulator rejects.
     """
-    left, right = _factors_for(spec, scene)
-    buckets = left.entries @ scene.values @ right.entries.conj().T
-    return BucketSignals(buckets, 0.0, 0, spec)
+    return BucketSignals(forward(*_factors_for(spec, scene), scene.values), 0.0, 0, spec)

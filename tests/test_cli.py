@@ -1,5 +1,6 @@
 """CLI and config tests: validation, artifacts, determinism, sweep."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -457,11 +458,48 @@ class TestSweep:
     def test_shipped_sweep_config_is_accepted(self, tmp_path):
         # The shipped run configs are run by test_reconstruct_reproduces_run_image.
         path = CONFIGS / "sweep_six_sets.json"
-        table = tmp_path / json.loads(path.read_text())["table"]
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
-        rows = table.read_text().strip().split("\n")[1:]
+        name = json.loads(path.read_text())["table"]
+        for out in ("first", "second"):
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / out),
+                         "--quiet"]) == 0
+        table = (tmp_path / "first" / name).read_bytes()
+        rows = table.decode().strip().split("\n")[1:]
         assert len(rows) == 24
         assert all(",ok," in row for row in rows)
+        # A rerun writes the same table, byte for byte.
+        assert (tmp_path / "second" / name).read_bytes() == table
+
+    def sweep_column(self, tmp_path, vary, flag, value, column) -> list[float]:
+        """One column of a sweep over an 8x8 scene, run with ``flag value``."""
+        base = {
+            "object": {"generator": "windmill", "height": 8, "width": 8, "blade_count": 2},
+            "hybrid": {"left": [{"kind": "hadamard", "order": 8}],
+                       "right": [{"kind": "dct", "order": 8}]},
+            "noise": {"sigma": 0.01, "seed": 0},
+        }
+        path = write_config(tmp_path, {"base": base, "vary": vary}, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet",
+                     flag, value]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert all(row["status"] == "ok" for row in rows)
+        return [float(row[column]) for row in rows]
+
+    @pytest.mark.parametrize("flag, value, column", [("--seed", "5", "seed"),
+                                                     ("--sigma", "0.5", "sigma")])
+    def test_varied_axis_wins_over_flag(self, tmp_path, flag, value, column):
+        vary = {"sigmas": [0.0, 0.02], "seeds": [1, 2]}
+        # Rows nest sigmas outside seeds.
+        expected = {"seed": [1, 2, 1, 2], "sigma": [0.0, 0.0, 0.02, 0.02]}[column]
+        assert self.sweep_column(tmp_path, vary, flag, value, column) == expected
+
+    @pytest.mark.parametrize("flag, value, column, vary", [
+        ("--seed", "5", "seed", {"sigmas": [0.0, 0.02]}),
+        ("--sigma", "0.5", "sigma", {"seeds": [1, 2]}),
+    ])
+    def test_flag_sets_an_axis_not_varied(self, tmp_path, flag, value, column, vary):
+        assert self.sweep_column(tmp_path, vary, flag, value, column) == [float(value)] * 2
 
     @pytest.mark.parametrize(
         "sweep, field",

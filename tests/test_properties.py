@@ -22,10 +22,15 @@ from hybridgi import (
     compose_chain,
     count_significant,
     fileio,
+    kron,
+    pattern,
     quality_report,
+    reconstruct_1d,
     reconstruct_chain,
     ssim,
+    vec_rows,
 )
+from hybridgi.measurement import forward
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
 ALL_KINDS = REAL_KINDS + ("dft",)
@@ -74,6 +79,44 @@ def test_noiseless_reconstruction_is_projection(seed, length, range_tag):
     result = reconstruct_chain(spec, acquire_ideal(spec, scene), range_tag=range_tag)
     assert result.image.range_tag is range_tag
     assert np.max(np.abs(result.image.values - np.real(projection))) < 1e-12
+
+
+kind_pairs = pytest.mark.parametrize(
+    "left_kind, right_kind", [(l, r) for l in ALL_KINDS for r in ALL_KINDS]
+)
+
+
+def pair_case(left_kind, right_kind, left_kept=None, right_kept=None):
+    """An 8x4 spec of one factor per side, its factors, and a reflectance scene."""
+    spec = HybridSpec.pair(left_kind, 8, right_kind, 4, left_kept, right_kept)
+    rng = np.random.default_rng([ALL_KINDS.index(left_kind), ALL_KINDS.index(right_kind)])
+    return spec, compose_chain(spec), SceneImage(rng.uniform(0.0, 1.0, (8, 4)),
+                                                 RangeTag.REFLECTANCE)
+
+
+@kind_pairs
+def test_kron_equals_forward(left_kind, right_kind):
+    spec, (left, right), scene = pair_case(left_kind, right_kind, 5, 3)
+    y = forward(left, right, scene.values)
+    assert np.max(np.abs(acquire_ideal(spec, scene).values - y)) < 1e-12
+    assert np.max(np.abs(kron(left, right).entries @ vec_rows(scene) - vec_rows(y))) < 1e-12
+
+
+@kind_pairs
+def test_pattern_dot_scene_equals_forward(left_kind, right_kind):
+    _, (left, right), scene = pair_case(left_kind, right_kind, 5, 3)
+    y = forward(left, right, scene.values)
+    for m in range(5):
+        for n in range(3):
+            assert abs(np.sum(pattern(left, right, m, n) * scene.values) - y[m, n]) < 1e-12
+
+
+@kind_pairs
+def test_reconstruct_1d_inverts_acquire_ideal(left_kind, right_kind):
+    spec, (left, right), scene = pair_case(left_kind, right_kind)
+    y = vec_rows(acquire_ideal(spec, scene).values)
+    recovered = reconstruct_1d(kron(left, right), y)
+    assert np.max(np.abs(recovered - vec_rows(scene))) < 1e-10
 
 
 @cases
