@@ -15,6 +15,12 @@ SIGNIFICANCE_REL_TOL = 1e-6
 Roi = tuple[int, int, int, int]  # (top, left, height, width)
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    # Written so that NaN fails: every comparison with NaN is False.
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
 def _as_array(x) -> np.ndarray:
     return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
@@ -45,8 +51,7 @@ def mse(a, b, roi: Roi | None = None) -> float:
 
 def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     """10 * log10(peak^2 / mse) in dB; +inf when the images match exactly."""
-    if peak <= 0:
-        raise ParameterError(f"peak must be positive, got {peak}")
+    _require_finite_positive("peak", peak)
     err = mse(reference, test, roi)
     if err == 0.0:
         return math.inf
@@ -79,8 +84,7 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     c2 = (0.03 * peak)^2; window statistics use the unbiased (n - 1)
     normalization. The compared region must be at least 8x8.
     """
-    if peak <= 0:
-        raise ParameterError(f"peak must be positive, got {peak}")
+    _require_finite_positive("peak", peak)
     a, b = _pair(reference, test, roi)
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise ShapeError(
@@ -107,8 +111,7 @@ def significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     An all-zero matrix masks nothing, since no magnitude exceeds zero.
     """
-    if rel_tol <= 0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
+    _require_finite_positive("rel_tol", rel_tol)
     values = np.abs(np.asarray(getattr(y, "values", y)))
     if values.size == 0:
         raise ShapeError("empty bucket matrix")

@@ -6,12 +6,18 @@ I_plus = (1 + I) / 2 and I_minus = (1 - I) / 2. Reflectance objects need
 two projections per bucket value; signed virtual objects are split the
 same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
-so that parallel and serial acquisition agree bitwise.
+so that parallel and serial acquisition agree bitwise. A Philox output
+depends only on its key and counter, so one process-wide generator is
+re-keyed for each draw instead of built anew; a lock keeps the re-key and
+the draw together when threads acquire in parallel.
 """
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,14 +77,26 @@ class SceneImage:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def assert_in_range(self) -> None:
+    @cached_property
+    def _in_range(self) -> bool:
+        # Cached, since the values are a read-only copy. NaN fails every comparison.
         lo, hi = self.range_tag.bounds
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not (lo <= self.values.min() and self.values.max() <= hi):
+        return lo <= self.values.min() and self.values.max() <= hi
+
+    def assert_in_range(self) -> None:
+        if not self._in_range:
+            lo, hi = self.range_tag.bounds
             raise PatternRangeError(
                 f"scene values [{self.values.min():.6g}, {self.values.max():.6g}] "
                 f"lie outside the declared {self.range_tag.value} range [{lo}, {hi}]"
             )
+
+    @cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """split_pattern(values), read-only: what a signed scene is projected as."""
+        plus, minus = split_pattern(self.values)
+        plus.flags.writeable = minus.flags.writeable = False
+        return plus, minus
 
 
 @dataclass(frozen=True)
@@ -89,10 +107,16 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if not 0 <= int(self.seed) <= _MAX_SEED:
-            raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
+        try:  # normalised, so the draws and the sidecar record the same values
+            sigma, seed = float(self.sigma), operator.index(self.seed)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"sigma must be a number, seed an integer: {exc}") from None
+        if not 0.0 <= sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and nonnegative, got {sigma}")
+        if not 0 <= seed <= _MAX_SEED:
+            raise ParameterError(f"seed must fit in 64 bits, got {seed}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -110,16 +134,34 @@ class BucketSignals:
         object.__setattr__(self, "values", values)
 
 
+# The state of a fresh Philox(key=seed, counter=[0, 0, 0, index]): its output
+# buffer is spent, so the first draw advances the counter and refills it.
+_KEY, _COUNTER = np.zeros(2, np.uint64), np.zeros(4, np.uint64)
+_STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER, "key": _KEY},
+          "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+_NOISE_LOCK = threading.Lock()
+_generator = None
+
+
 def _noise_draw(sigma: float, seed: int, index: int) -> float:
     # Counter-based so each draw depends only on (seed, index), never on
-    # evaluation order.
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, index])
-    return float(np.random.Generator(bitgen).normal(0.0, sigma))
+    # evaluation order. A new Philox seeds itself from OS entropy before its
+    # key applies, at several times the cost of a draw, so one generator
+    # (built on first use: numpy.random is slow to import) is re-keyed per
+    # draw, under a lock so that threads cannot interleave re-key and draw.
+    global _generator
+    with _NOISE_LOCK:
+        if _generator is None:
+            _generator = np.random.Generator(np.random.Philox())
+        _KEY[0] = seed
+        _COUNTER[3] = index
+        _generator.bit_generator.state = _STATE
+        return float(_generator.normal(0.0, sigma))
 
 
 def _require_real(values, what: str) -> np.ndarray:
     array = np.asarray(values)
-    if np.iscomplexobj(array):
+    if array.dtype.kind == "c":
         raise UnsupportedPatternError(f"{what} must be real-valued for projection")
     return array.astype(np.float64, copy=False)
 
@@ -131,10 +173,9 @@ def split_pattern(pattern_values) -> tuple[np.ndarray, np.ndarray]:
     plus - minus reproduces I. Input must already be normalized to [-1, 1].
     """
     values = _require_real(pattern_values, "pattern")
-    if np.max(np.abs(values)) > 1.0:
-        raise PatternRangeError(
-            f"pattern max-abs {np.max(np.abs(values)):.6g} exceeds 1; normalize first"
-        )
+    peak = np.abs(values).max()
+    if peak > 1.0:
+        raise PatternRangeError(f"pattern max-abs {peak:.6g} exceeds 1; normalize first")
     return (1.0 + values) / 2.0, (1.0 - values) / 2.0
 
 
@@ -146,7 +187,7 @@ def normalize_pattern(pattern_values) -> tuple[np.ndarray, float]:
     pattern would have produced.
     """
     values = _require_real(pattern_values, "pattern")
-    scale = float(np.max(np.abs(values)))
+    scale = float(np.abs(values).max())
     if scale == 0.0:
         raise DegeneratePatternError("all-zero pattern cannot be normalized")
     return values / scale, scale
@@ -166,7 +207,7 @@ def project(
         raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    value = float(np.sum(p * x))
+    value = float((p * x).sum())
     if noise.sigma > 0.0:
         value += _noise_draw(noise.sigma, noise.seed, measurement_index)
     return value
@@ -186,9 +227,8 @@ def measure_bucket(
     # split_pattern rejects a complex pattern and project a shape mismatch.
     scene.assert_in_range()
     plus, minus = split_pattern(pattern_values)
-    x = scene.values
     if scene.range_tag is RangeTag.SIGNED:
-        x_plus, x_minus = (1.0 + x) / 2.0, (1.0 - x) / 2.0
+        x_plus, x_minus = scene.halves
         base = 4 * base_index
         return (
             project(plus, x_plus, noise, base)
@@ -196,6 +236,7 @@ def measure_bucket(
             - project(minus, x_plus, noise, base + 2)
             + project(minus, x_minus, noise, base + 3)
         )
+    x = scene.values
     base = 2 * base_index
     return project(plus, x, noise, base) - project(minus, x, noise, base + 1)
 

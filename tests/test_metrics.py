@@ -16,6 +16,7 @@ from hybridgi import (
     quality_report,
     ssim,
 )
+from hybridgi.metrics import significant
 
 
 class TestMse:
@@ -72,6 +73,11 @@ class TestPsnr:
         with pytest.raises(ParameterError):
             psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_peak_rejected(self, peak):
+        with pytest.raises(ParameterError, match="peak must be finite and positive"):
+            psnr(np.zeros((2, 2)), np.ones((2, 2)), peak=peak)
+
 
 class TestSsim:
     def test_identical_images(self):
@@ -110,6 +116,12 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((16, 16)), np.zeros((16, 16)), peak=1.0, roi=(0, 0, 4, 16))
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_peak_rejected(self, peak):
+        a = np.random.default_rng(4).uniform(size=(8, 8))
+        with pytest.raises(ParameterError, match="peak must be finite and positive"):
+            ssim(a, a[::-1], peak=peak)
+
 
 class TestCountSignificant:
     def test_single_peak(self):
@@ -139,6 +151,13 @@ class TestCountSignificant:
     def test_rel_tol_validation(self):
         with pytest.raises(ParameterError):
             count_significant(np.ones((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, -1e-6])
+    def test_non_finite_or_negative_rel_tol_rejected(self, rel_tol):
+        y = np.array([[1.0, 0.5], [0.0, 2.0]])
+        for count in (count_significant, significant):
+            with pytest.raises(ParameterError, match="rel_tol must be finite and positive"):
+                count(y, rel_tol)
 
 
 class TestQualityReport:

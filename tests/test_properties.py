@@ -3,8 +3,12 @@
 Each case draws a hybrid spec from a seeded generator: random kinds per
 chain entry, chain lengths 1-3, a random truncation of the outermost
 factor, and a random scene in the declared range. The metrics are checked
-against direct per-window and per-entry oracles over random images.
+against direct per-window and per-entry oracles over random images, and
+the noise draws against a fresh Philox generator per draw.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from hybridgi import (
     vec_rows,
 )
 from hybridgi.measurement import forward
+from hybridgi.simulator import _noise_draw
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
 ALL_KINDS = REAL_KINDS + ("dft",)
@@ -136,6 +141,101 @@ def test_bucket_files_round_trip_bitwise(tmp_path, seed, length, range_tag):
     assert (read.noise_sigma, read.seed, read.spec) == (
         written.noise_sigma, written.seed, written.spec
     )
+
+
+def oracle_draw(sigma: float, seed: int, index: int) -> float:
+    """The reference noise draw: a new Philox generator for every draw."""
+    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, index])
+    return float(np.random.Generator(bitgen).normal(0.0, sigma))
+
+
+def random_draws(count: int) -> list[tuple[float, int, int]]:
+    """(sigma, seed, index) triples: edge seeds and indices, then random ones.
+
+    The oracle's counter list goes through float64 above 2**63 - 1, so
+    indices stay below that; a measurement index is below 4 * 4096**2.
+    """
+    rng = np.random.default_rng(7)
+    edges = [
+        (1.0, seed, index)
+        for seed in (0, 1, 1 << 63, (1 << 64) - 1)
+        for index in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 7, (1 << 63) - 1)
+    ]
+    return edges + [
+        (
+            float(rng.choice([1e-3, 0.05, 1.0, 7.5])),
+            int(rng.integers(1 << 64, dtype=np.uint64)),
+            int(rng.integers(1 << int(rng.choice([8, 33, 63])))),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_noise_draw_equals_fresh_generator_oracle():
+    draws = random_draws(2000)
+    assert [_noise_draw(*d) for d in draws] == [oracle_draw(*d) for d in draws]
+
+
+def test_noise_draw_equals_oracle_from_eight_threads():
+    draws = random_draws(4000)
+    want = [oracle_draw(*d) for d in draws]
+    got = [None] * len(draws)
+    start = threading.Barrier(8)
+
+    def worker(first: int) -> None:
+        start.wait()
+        for i in range(first, len(draws), 8):
+            got[i] = _noise_draw(*draws[i])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
+    """The acquisition loop spelt out, with every projection's draw from oracle_draw."""
+    left, right = compose_chain(spec)
+    x = scene.values
+    if scene.range_tag is RangeTag.SIGNED:
+        halves = ((1.0 + x) / 2.0, (1.0 - x) / 2.0)
+    else:
+        halves = (x,)
+    buckets = np.empty((left.kept_rows, right.kept_rows))
+    for m in range(left.kept_rows):
+        for n in range(right.kept_rows):
+            raw = pattern(left, right, m, n)
+            scale = float(np.max(np.abs(raw)))
+            scaled = raw / scale
+            plus, minus = (1.0 + scaled) / 2.0, (1.0 - scaled) / 2.0
+            pairs = [(p, h) for p in (plus, minus) for h in halves]
+            base = len(pairs) * (m * right.kept_rows + n)
+            terms = [
+                float(np.sum(p * h)) + oracle_draw(sigma, seed, base + k)
+                for k, (p, h) in enumerate(pairs)
+            ]
+            if len(terms) == 4:
+                value = terms[0] - terms[1] - terms[2] + terms[3]
+            else:
+                value = terms[0] - terms[1]
+            buckets[m, n] = scale * value
+    return buckets
+
+
+@cases
+def test_noisy_acquire_equals_oracle_loop(seed, length, range_tag):
+    spec, scene = random_case(seed, length, range_tag, REAL_KINDS)
+    noise_seed = (1 << 64) - 1 - seed
+    got = acquire(spec, scene, NoiseModel(0.05, noise_seed)).values
+    assert got.tobytes() == oracle_acquire(spec, scene, 0.05, noise_seed).tobytes()
 
 
 def oracle_ssim(a, b, peak, roi=None):

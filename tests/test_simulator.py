@@ -1,8 +1,14 @@
 """Acquisition simulator tests: splitting, projection, noise, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridgi
 from hybridgi import (
     DegeneratePatternError,
     HybridSpec,
@@ -16,6 +22,7 @@ from hybridgi import (
     acquire,
     acquire_ideal,
     compose_chain,
+    fileio,
     measure_bucket,
     normalize_pattern,
     project,
@@ -285,7 +292,83 @@ class TestModels:
         with pytest.raises(PatternRangeError):
             scene.assert_in_range()
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None, np.float64(2.0)])
+    def test_noise_model_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ParameterError):
+            NoiseModel(0.01, seed)
+
+    @pytest.mark.parametrize("sigma", ["wide", None, [0.01], 10**400])
+    def test_noise_model_rejects_a_sigma_that_is_not_a_number(self, sigma):
+        with pytest.raises(ParameterError):
+            NoiseModel(sigma, 0)
+
+    def test_noise_model_stores_plain_numbers(self):
+        noise = NoiseModel(np.float32(0.01), np.int64(3))
+        assert type(noise.sigma) is float and noise.sigma == float(np.float32(0.01))
+        assert type(noise.seed) is int and noise.seed == 3
+
+    def test_numpy_scalar_noise_round_trips_through_the_sidecar(self, tmp_path):
+        spec = HybridSpec.pair("hadamard", 4, "dct", 4)
+        scene = SceneImage(np.full((4, 4), 0.5), RangeTag.REFLECTANCE)
+        buckets = acquire(spec, scene, NoiseModel(np.float32(0.01), np.int64(3)))
+        assert buckets.noise_sigma == float(np.float32(0.01)) and buckets.seed == 3
+        path = tmp_path / "buckets.csv"
+        fileio.write_buckets(path, buckets)
+        loaded = fileio.read_buckets(path)
+        assert (loaded.noise_sigma, loaded.seed) == (buckets.noise_sigma, 3)
+        assert np.array_equal(loaded.values, buckets.values)
+
     def test_range_tags(self):
         assert RangeTag.REFLECTANCE.bounds == (0.0, 1.0)
         assert RangeTag.SIGNED.bounds == (-1.0, 1.0)
         assert RangeTag.SIGNED.width == 2.0
+
+
+class TestSceneCaches:
+    @pytest.mark.parametrize(
+        "values, range_tag",
+        [
+            (np.array([[0.5, np.nan], [0.0, 1.0]]), RangeTag.REFLECTANCE),
+            (np.array([[0.5, 1.5], [0.0, 1.0]]), RangeTag.REFLECTANCE),
+            (np.array([[0.5, np.nan], [-1.0, 1.0]]), RangeTag.SIGNED),
+            (np.array([[-1.5, 0.0], [-1.0, 1.0]]), RangeTag.SIGNED),
+        ],
+    )
+    def test_bad_scene_is_rejected_on_every_bucket(self, values, range_tag):
+        scene = SceneImage(values, range_tag)
+        pattern_values = np.array([[1.0, -1.0], [0.5, 0.0]])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PatternRangeError) as caught:
+                measure_bucket(pattern_values, scene, NoiseModel(0.01, 5))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and "lie outside the declared" in messages[0]
+
+    def test_halves_are_the_read_only_split_of_the_values(self):
+        rng = np.random.default_rng(21)
+        scene = SceneImage(rng.uniform(-1, 1, (5, 7)), RangeTag.SIGNED)
+        plus, minus = scene.halves
+        want_plus, want_minus = split_pattern(scene.values)
+        assert plus.tobytes() == want_plus.tobytes()
+        assert minus.tobytes() == want_minus.tobytes()
+        assert scene.halves[0] is plus
+        for half in (plus, minus):
+            with pytest.raises(ValueError):
+                half[0, 0] = 0.0
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is slow to import, so the first noise draw loads it.
+    code = (
+        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; "
+        "import hybridgi.cli; print(lazy, 'numpy.random' in sys.modules)"
+    )
+    src = str(Path(hybridgi.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    if out[0] != "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out[1] == "False"
