@@ -37,10 +37,14 @@ def _apply_roi(a: np.ndarray, roi: Roi | None) -> np.ndarray:
 
 
 def _pair(a, b, roi: Roi | None) -> tuple[np.ndarray, np.ndarray]:
+    """The compared regions of two images, which must be finite there."""
     a, b = _as_array(a), _as_array(b)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _apply_roi(a, roi), _apply_roi(b, roi)
+    a, b = _apply_roi(a, roi), _apply_roi(b, roi)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("compared images must be finite, got a NaN or infinite value")
+    return a, b
 
 
 def mse(a, b, roi: Roi | None = None) -> float:
@@ -115,7 +119,10 @@ def significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     values = np.abs(np.asarray(getattr(y, "values", y)))
     if values.size == 0:
         raise ShapeError("empty bucket matrix")
-    return values, values > rel_tol * values.max()
+    peak = values.max()  # NaN if any magnitude is NaN, else inf if any is inf
+    if not peak < math.inf:
+        raise ParameterError("bucket values must be finite, got a NaN or infinite value")
+    return values, values > rel_tol * peak
 
 
 def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:

@@ -10,6 +10,13 @@ so that parallel and serial acquisition agree bitwise. A Philox output
 depends only on its key and counter, so one process-wide generator is
 re-keyed for each draw instead of built anew; a lock keeps the re-key and
 the draw together when threads acquire in parallel.
+
+``acquire`` checks the factor shapes, the scene's range and that no factor
+is complex once per acquisition. A bucket then only builds, scales, splits
+and projects its pattern: the halves (1 +- v)/2 of a normalized pattern
+are nonnegative by construction. The public ``split_pattern``,
+``normalize_pattern``, ``project`` and ``measure_bucket`` check their
+inputs on every call, then run the same private arithmetic.
 """
 
 import math
@@ -166,16 +173,29 @@ def _require_real(values, what: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def _require_normalized(values) -> np.ndarray:
+    values = _require_real(values, "pattern")
+    peak = np.abs(values).max()
+    if peak > 1.0:
+        raise PatternRangeError(f"pattern max-abs {peak:.6g} exceeds 1; normalize first")
+    return values
+
+
+def _require_same_shape(p: np.ndarray, x: np.ndarray) -> None:
+    if p.shape != x.shape:
+        raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
+
+
 def split_pattern(pattern_values) -> tuple[np.ndarray, np.ndarray]:
     """Split a signed pattern into its nonnegative projection pair.
 
     Returns (plus, minus) with plus = (1 + I)/2 and minus = (1 - I)/2;
     plus - minus reproduces I. Input must already be normalized to [-1, 1].
     """
-    values = _require_real(pattern_values, "pattern")
-    peak = np.abs(values).max()
-    if peak > 1.0:
-        raise PatternRangeError(f"pattern max-abs {peak:.6g} exceeds 1; normalize first")
+    return _split(_require_normalized(pattern_values))
+
+
+def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 + values) / 2.0, (1.0 - values) / 2.0
 
 
@@ -193,6 +213,37 @@ def normalize_pattern(pattern_values) -> tuple[np.ndarray, float]:
     return values / scale, scale
 
 
+def _project(p: np.ndarray, x: np.ndarray, noise: NoiseModel, index: int) -> float:
+    value = float((p * x).sum())
+    if noise.sigma > 0.0:
+        value += _noise_draw(noise.sigma, noise.seed, index)
+    return value
+
+
+def _bucket(scaled: np.ndarray, halves: tuple, noise: NoiseModel, base_index: int) -> float:
+    # The projections of one bucket, unchecked: ``scaled`` is real and in
+    # [-1, 1], and ``halves`` is the scene as projected, (values,) or its
+    # split (plus, minus), each of the pattern's shape.
+    plus, minus = _split(scaled)
+    if len(halves) == 2:
+        x_plus, x_minus = halves
+        base = 4 * base_index
+        return (
+            _project(plus, x_plus, noise, base)
+            - _project(plus, x_minus, noise, base + 1)
+            - _project(minus, x_plus, noise, base + 2)
+            + _project(minus, x_minus, noise, base + 3)
+        )
+    (x,) = halves
+    base = 2 * base_index
+    return _project(plus, x, noise, base) - _project(minus, x, noise, base + 1)
+
+
+def _projected(scene: SceneImage) -> tuple:
+    """The scene as the projector sees it: split into halves when signed."""
+    return scene.halves if scene.range_tag is RangeTag.SIGNED else (scene.values,)
+
+
 def project(
     pattern_values, object_values, noise: NoiseModel, measurement_index: int
 ) -> float:
@@ -203,14 +254,10 @@ def project(
     """
     p = _require_real(pattern_values, "pattern")
     x = _require_real(object_values, "object")
-    if p.shape != x.shape:
-        raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
+    _require_same_shape(p, x)
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    value = float((p * x).sum())
-    if noise.sigma > 0.0:
-        value += _noise_draw(noise.sigma, noise.seed, measurement_index)
-    return value
+    return _project(p, x, noise, measurement_index)
 
 
 def measure_bucket(
@@ -224,21 +271,10 @@ def measure_bucket(
     nonnegative and take two projections at 2*base_index + {0, 1}. With
     sigma = 0 the result equals the signed dot product sum(I * X).
     """
-    # split_pattern rejects a complex pattern and project a shape mismatch.
     scene.assert_in_range()
-    plus, minus = split_pattern(pattern_values)
-    if scene.range_tag is RangeTag.SIGNED:
-        x_plus, x_minus = scene.halves
-        base = 4 * base_index
-        return (
-            project(plus, x_plus, noise, base)
-            - project(plus, x_minus, noise, base + 1)
-            - project(minus, x_plus, noise, base + 2)
-            + project(minus, x_minus, noise, base + 3)
-        )
-    x = scene.values
-    base = 2 * base_index
-    return project(plus, x, noise, base) - project(minus, x, noise, base + 1)
+    values = _require_normalized(pattern_values)
+    _require_same_shape(values, scene.values)
+    return _bucket(values, _projected(scene), noise, base_index)
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage):
@@ -264,21 +300,29 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     against the scene, and the bucket value rescaled by the normalization
     factor. At sigma = 0 the result equals L @ X @ R^H exactly (to
     rounding), with L and R the effective truncated factors.
+
+    The shapes, the scene's range and the realness of the factors are
+    checked once, before the first bucket. A pattern's max-abs is the
+    product of its rows' max-abs, max|L_m| * max|R_n|: rounding is
+    monotone, so that product is bit for bit the max over the outer
+    product, and it is taken from two per-factor vectors, not a scan.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
         raise UnsupportedPatternError(
             "complex transform factors cannot be physically projected"
         )
+    peaks_l, peaks_r = (np.abs(f.entries).max(axis=1).tolist() for f in (left, right))
+    halves = _projected(scene)
     rows_r = right.kept_rows
     buckets = np.empty((left.kept_rows, rows_r))
-    for m in range(left.kept_rows):
-        for n in range(rows_r):
-            raw = pattern(left, right, m, n)
-            scaled, scale = normalize_pattern(raw)
-            buckets[m, n] = scale * measure_bucket(
-                scaled, scene, noise, base_index=m * rows_r + n
-            )
+    for m, peak_l in enumerate(peaks_l):
+        for n, peak_r in enumerate(peaks_r):
+            scale = peak_l * peak_r
+            if scale == 0.0:
+                raise DegeneratePatternError("all-zero pattern cannot be normalized")
+            scaled = pattern(left, right, m, n) / scale
+            buckets[m, n] = scale * _bucket(scaled, halves, noise, m * rows_r + n)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

@@ -60,15 +60,20 @@ class TransformMatrix:
         return np.iscomplexobj(self.entries)
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but True is no order.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_exponent(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_EXPONENT:
+    if not _is_integer(n) or not 1 <= n <= MAX_EXPONENT:
         raise InvalidOrderError(
             f"exponent must be an integer in [1, {MAX_EXPONENT}], got {n!r}"
         )
 
 
 def _check_order(order: int) -> None:
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if not _is_integer(order) or order < 1:
         raise InvalidOrderError(f"order must be a positive integer, got {order!r}")
     if order > MAX_ORDER:
         raise InvalidOrderError(f"order {order} exceeds the dense cap {MAX_ORDER}")

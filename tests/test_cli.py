@@ -386,6 +386,21 @@ class TestDemoStripes:
         assert "haar32-dct16: significant=1" in out
         assert "haar32-had16: significant=1" in out
 
+    def test_stdout_pinned(self, capsys):
+        # All six sets go through the physical acquire loop. The stripes are
+        # searched for had-dct, haar-had and haar-dct, and each of those
+        # compresses them to one significant bucket: the paper's claim.
+        assert main(["demo-stripes"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "object: 32x16 stripes period=32 orientation=horizontal offset=0 band=1",
+            "had32-dct16: significant=1 at (16, 0)",
+            "had32-haar16: significant=1 at (16, 0)",
+            "dct32-had16: significant=16",
+            "dct32-haar16: significant=16",
+            "haar32-had16: significant=1 at (1, 0)",
+            "haar32-dct16: significant=1 at (1, 0)",
+        ]
+
 
 class TestSweep:
     def test_six_sets_two_modes(self, tmp_path):

@@ -160,6 +160,49 @@ class TestCountSignificant:
                 count(y, rel_tol)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+
+
+class TestNonFiniteInput:
+    @NON_FINITE
+    def test_count_significant_rejects_non_finite_bucket(self, bad):
+        y = np.array([[bad, 1.0], [0.5, 0.0]])
+        for count in (count_significant, significant):
+            with pytest.raises(ParameterError, match="bucket values must be finite"):
+                count(y, 1e-6)
+
+    def test_complex_non_finite_bucket_rejected(self):
+        with pytest.raises(ParameterError, match="bucket values must be finite"):
+            count_significant(np.array([[complex(0.0, math.nan), 1.0]]), 1e-6)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("metric", [mse, lambda a, b: psnr(a, b, 1.0),
+                                        lambda a, b: ssim(a, b, 1.0)],
+                             ids=["mse", "psnr", "ssim"])
+    def test_image_metrics_reject_non_finite_images(self, bad, metric):
+        clean = np.random.default_rng(5).uniform(size=(8, 8))
+        dirty = clean.copy()
+        dirty[3, 4] = bad
+        for a, b in ((clean, dirty), (dirty, clean)):
+            with pytest.raises(ParameterError, match="compared images must be finite"):
+                metric(a, b)
+
+    def test_quality_report_rejects_non_finite_test_image(self):
+        scene = SceneImage(np.zeros((8, 8)), RangeTag.REFLECTANCE)
+        test = np.zeros((8, 8))
+        test[0, 0] = math.nan
+        with pytest.raises(ParameterError, match="compared images must be finite"):
+            quality_report(scene, test)
+
+    def test_non_finite_outside_roi_is_not_compared(self):
+        a = np.zeros((4, 4))
+        b = np.zeros((4, 4))
+        b[0, 0] = math.nan
+        assert mse(a, b, roi=(1, 1, 3, 3)) == 0.0
+        with pytest.raises(ParameterError):
+            mse(a, b, roi=(0, 0, 2, 2))
+
+
 class TestQualityReport:
     def test_peak_defaults_from_range(self):
         scene = SceneImage(np.zeros((16, 16)), RangeTag.SIGNED)

@@ -4,9 +4,12 @@ Each case draws a hybrid spec from a seeded generator: random kinds per
 chain entry, chain lengths 1-3, a random truncation of the outermost
 factor, and a random scene in the declared range. The metrics are checked
 against direct per-window and per-entry oracles over random images, and
-the noise draws against a fresh Philox generator per draw.
+the noise draws against a fresh Philox generator per draw. The physical
+acquisition loop is checked bitwise against an oracle loop that spells out
+every normalization, split, projection and draw.
 """
 
+import re
 import sys
 import threading
 
@@ -16,6 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hybridgi import (
     BucketSignals,
+    PatternRangeError,
+    ShapeError,
+    UnsupportedPatternError,
     ChainEntry,
     HybridSpec,
     NoiseModel,
@@ -236,6 +242,93 @@ def test_noisy_acquire_equals_oracle_loop(seed, length, range_tag):
     noise_seed = (1 << 64) - 1 - seed
     got = acquire(spec, scene, NoiseModel(0.05, noise_seed)).values
     assert got.tobytes() == oracle_acquire(spec, scene, 0.05, noise_seed).tobytes()
+
+
+def large_case(height: int, width: int, range_tag: RangeTag):
+    """A spec of multi-factor truncated chains on a height x width scene.
+
+    At 256 pixels and more a pattern's sums run through numpy's blocked
+    pairwise summation (128-element blocks), which the order-8 cases
+    never reach.
+    """
+    spec = HybridSpec(
+        (ChainEntry("hadamard", height), ChainEntry("dct", height),
+         ChainEntry("haar", height, height * 5 // 8)),
+        (ChainEntry("dct", width), ChainEntry("haar", width, width * 3 // 4)),
+    )
+    rng = np.random.default_rng([height, width, list(RangeTag).index(range_tag)])
+    lo, hi = range_tag.bounds
+    return spec, SceneImage(rng.uniform(lo, hi, (height, width)), range_tag)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+@pytest.mark.parametrize("height, width", [(16, 16), (32, 64), (64, 64)])
+def test_large_acquire_equals_oracle_loop(height, width, range_tag, sigma):
+    spec, scene = large_case(height, width, range_tag)
+    noise_seed = height * width + 11
+    got = acquire(spec, scene, NoiseModel(sigma, noise_seed)).values
+    assert got.tobytes() == oracle_acquire(spec, scene, sigma, noise_seed).tobytes()
+
+
+def assert_pattern_peaks_are_row_peak_products(left, right):
+    rows_l = np.abs(left.entries).max(axis=1)
+    rows_r = np.abs(right.entries).max(axis=1)
+    for m in range(left.kept_rows):
+        for n in range(right.kept_rows):
+            peak = float(np.abs(pattern(left, right, m, n)).max())
+            assert peak == float(rows_l[m] * rows_r[n]), (m, n)
+
+
+@pytest.mark.parametrize(
+    "left_kind, right_kind", [(l, r) for l in REAL_KINDS for r in REAL_KINDS]
+)
+def test_pattern_peak_is_product_of_row_peaks(left_kind, right_kind):
+    assert_pattern_peaks_are_row_peak_products(*pair_case(left_kind, right_kind)[1])
+
+
+@cases
+def test_chain_pattern_peak_is_product_of_row_peaks(seed, length, range_tag):
+    spec, _ = random_case(seed, length, range_tag, REAL_KINDS)
+    assert_pattern_peaks_are_row_peak_products(*compose_chain(spec))
+
+
+def test_large_chain_pattern_peak_is_product_of_row_peaks():
+    spec, _ = large_case(32, 64, RangeTag.SIGNED)
+    assert_pattern_peaks_are_row_peak_products(*compose_chain(spec))
+
+
+def reflectance(values) -> SceneImage:
+    return SceneImage(np.asarray(values, dtype=np.float64), RangeTag.REFLECTANCE)
+
+
+@pytest.mark.parametrize(
+    "spec, scene, error, message",
+    [
+        (HybridSpec.pair("dft", 4, "dct", 2), reflectance(np.full((4, 2), 0.5)),
+         UnsupportedPatternError, "complex transform factors cannot be physically projected"),
+        (HybridSpec.pair("dct", 4, "dft", 2), reflectance(np.full((4, 2), 0.5)),
+         UnsupportedPatternError, "complex transform factors cannot be physically projected"),
+        (HybridSpec.pair("dct", 2, "haar", 2), reflectance([[0.5, np.nan], [0.0, 1.0]]),
+         PatternRangeError,
+         "scene values [nan, nan] lie outside the declared reflectance range [0.0, 1.0]"),
+        (HybridSpec.pair("dct", 2, "haar", 2), reflectance([[0.5, 1.5], [0.25, 1.0]]),
+         PatternRangeError,
+         "scene values [0.25, 1.5] lie outside the declared reflectance range [0.0, 1.0]"),
+        (HybridSpec.pair("dct", 2, "haar", 2),
+         SceneImage(np.array([[-2.0, 0.0], [0.5, 1.0]]), RangeTag.SIGNED),
+         PatternRangeError,
+         "scene values [-2, 1] lie outside the declared signed range [-1.0, 1.0]"),
+        (HybridSpec.pair("dct", 4, "haar", 2), reflectance(np.full((2, 4), 0.5)),
+         ShapeError, "spec orders 4x2 do not match scene 2x4"),
+    ],
+    ids=["complex-left", "complex-right", "nan-scene", "out-of-range",
+         "out-of-signed-range", "shape-mismatch"],
+)
+def test_acquire_error_contract(spec, scene, error, message):
+    for sigma in (0.0, 0.05):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            acquire(spec, scene, NoiseModel(sigma, 3))
 
 
 def oracle_ssim(a, b, peak, roi=None):

@@ -148,6 +148,36 @@ class TestMeasureBucket:
         with pytest.raises(UnsupportedPatternError):
             measure_bucket(np.ones((2, 2)) * (1 + 0j), scene, NoiseModel())
 
+    @pytest.mark.parametrize("range_tag", list(RangeTag))
+    def test_equals_its_projections_bitwise(self, range_tag):
+        rng = np.random.default_rng(8)
+        noise = NoiseModel(0.05, seed=12)
+        lo, hi = range_tag.bounds
+        scene = SceneImage(rng.uniform(lo, hi, (16, 16)), range_tag)
+        halves = split_pattern(scene.values) if range_tag is RangeTag.SIGNED else (scene.values,)
+        for base_index in range(20):
+            values = rng.uniform(-1.0, 1.0, (16, 16))
+            plus, minus = split_pattern(values)
+            terms = [
+                project(p, x, noise, len(halves) * 2 * base_index + k)
+                for k, (p, x) in enumerate((p, x) for p in (plus, minus) for x in halves)
+            ]
+            if len(terms) == 4:
+                want = terms[0] - terms[1] - terms[2] + terms[3]
+            else:
+                want = terms[0] - terms[1]
+            assert measure_bucket(values, scene, noise, base_index) == want
+
+    def test_error_messages(self):
+        scene = SceneImage(np.full((2, 2), 0.5), RangeTag.REFLECTANCE)
+        with pytest.raises(ShapeError, match=r"^pattern shape \(2, 3\) != object shape \(2, 2\)$"):
+            measure_bucket(np.zeros((2, 3)), scene, NoiseModel())
+        with pytest.raises(PatternRangeError, match="^pattern max-abs 2 exceeds 1; normalize first$"):
+            measure_bucket(np.full((2, 2), 2.0), scene, NoiseModel())
+        with pytest.raises(PatternRangeError, match=r"^scene values \[1.5, 1.5\] lie outside"):
+            measure_bucket(np.zeros((2, 2)), SceneImage(np.full((2, 2), 1.5), "reflectance"),
+                           NoiseModel())
+
     def test_four_projection_noise_variance(self):
         # Each of the four projections adds N(0, sigma^2), so the combined
         # variance is 4 sigma^2.

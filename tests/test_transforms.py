@@ -207,6 +207,22 @@ class TestDispatch:
         with pytest.raises(InvalidOrderError):
             build_transform("fourier", 8)
 
+    @pytest.mark.parametrize("kind", [k.value for k in TransformKind if k.value != "composite"])
+    @pytest.mark.parametrize("order", [True, False])
+    def test_bool_order_rejected(self, kind, order):
+        with pytest.raises(InvalidOrderError, match="order must be a positive integer"):
+            build_transform(kind, order)
+
+    @pytest.mark.parametrize("builder", [build_hadamard, build_haar, haar_raw_rows])
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_exponent_rejected(self, builder, n):
+        with pytest.raises(InvalidOrderError, match="exponent must be an integer"):
+            builder(n)
+
+    def test_numpy_integer_order_accepted(self):
+        assert build_transform("hadamard", np.int64(8)).order == 8
+        assert build_dct(np.int32(3)).order == 3
+
 
 def test_entries_immutable():
     matrix = build_hadamard(2)
