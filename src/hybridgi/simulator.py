@@ -6,10 +6,13 @@ I_plus = (1 + I) / 2 and I_minus = (1 - I) / 2. Reflectance objects need
 two projections per bucket value; signed virtual objects are split the
 same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
-so that parallel and serial acquisition agree bitwise. A Philox output
-depends only on its key and counter, so one process-wide generator is
-re-keyed for each draw instead of built anew; a lock keeps the re-key and
-the draw together when threads acquire in parallel.
+so that parallel and serial acquisition agree bitwise: draw k is the
+Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
+stream. A Philox output depends only on its key and counter, so one
+process-wide generator is re-keyed for each block of draws instead of
+built anew; a lock keeps the re-key and the draw together when threads
+acquire in parallel. ``acquire`` draws one block per left row of buckets;
+``project`` and ``measure_bucket`` draw the same values one call at a time.
 
 ``acquire`` checks the factor shapes, the scene's range and that no factor
 is complex once per acquisition. A bucket then only builds, scales, splits
@@ -141,29 +144,66 @@ class BucketSignals:
         object.__setattr__(self, "values", values)
 
 
-# The state of a fresh Philox(key=seed, counter=[0, 0, 0, index]): its output
-# buffer is spent, so the first draw advances the counter and refills it.
+# The state of a fresh Philox(key=seed, counter=[block, 0, 0, 0]): its output
+# buffer is spent, so the first word drawn advances the counter and refills it.
 _KEY, _COUNTER = np.zeros(2, np.uint64), np.zeros(4, np.uint64)
 _STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER, "key": _KEY},
           "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 _NOISE_LOCK = threading.Lock()
-_generator = None
+_bit_generator = None
+
+
+def _noise_block(sigma: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Noise draws ``start`` .. ``start + count - 1`` of ``seed``, as an array.
+
+    Draw k is sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller), with
+    u1, u2 = (w >> 11) * 2**-53 for the words w = 2k, 2k + 1 of the
+    Philox(key=seed) stream. Philox is counter-based: block j of that stream
+    (words 4j .. 4j + 3) is what a fresh Philox(key=seed, counter=[j, 0, 0, 0])
+    yields first, so a draw is a pure function of (seed, k) whichever block
+    produced it. A new Philox seeds itself from OS entropy before its key
+    applies, so one generator (built on first use: numpy.random is slow to
+    import) is re-keyed per block, under a lock so that threads cannot
+    interleave re-key and draw. Every ufunc below works element by element
+    on contiguous arrays, so a draw does not depend on the block's length.
+    """
+    global _bit_generator
+    skip = 2 * (start % 2)  # words of the first Philox block before draw ``start``
+    with _NOISE_LOCK:
+        if _bit_generator is None:
+            _bit_generator = np.random.Philox()
+        _KEY[0] = seed
+        _COUNTER[0] = start // 2
+        _bit_generator.state = _STATE
+        words = _bit_generator.random_raw(skip + 2 * count)
+    u1, u2 = ((words[skip:].reshape(count, 2) >> 11) * 2.0**-53).T.copy()
+    return sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
 
 def _noise_draw(sigma: float, seed: int, index: int) -> float:
-    # Counter-based so each draw depends only on (seed, index), never on
-    # evaluation order. A new Philox seeds itself from OS entropy before its
-    # key applies, at several times the cost of a draw, so one generator
-    # (built on first use: numpy.random is slow to import) is re-keyed per
-    # draw, under a lock so that threads cannot interleave re-key and draw.
-    global _generator
-    with _NOISE_LOCK:
-        if _generator is None:
-            _generator = np.random.Generator(np.random.Philox())
-        _KEY[0] = seed
-        _COUNTER[3] = index
-        _generator.bit_generator.state = _STATE
-        return float(_generator.normal(0.0, sigma))
+    """Noise draw ``index`` of ``seed``: one draw of :func:`_noise_block`."""
+    return float(_noise_block(sigma, seed, index, 1)[0])
+
+
+def _draws(noise: NoiseModel, start: int, count: int) -> list:
+    """The noise of projections ``start`` .. ``start + count - 1``; Nones at sigma = 0."""
+    if noise.sigma == 0.0:
+        return [None] * count
+    return _noise_block(noise.sigma, noise.seed, start, count).tolist()
+
+
+def _measurement_index(index, projections: int) -> int:
+    """``index`` as an int, once its ``projections`` noise indices fit in 64 bits."""
+    limit = (1 << 64) // projections - 1
+    if not isinstance(index, bool):
+        try:
+            value = operator.index(index)
+        except TypeError:
+            pass
+        else:
+            if 0 <= value <= limit:
+                return value
+    raise ParameterError(f"measurement index must be an integer in [0, {limit}], got {index!r}")
 
 
 def _require_real(values, what: str) -> np.ndarray:
@@ -213,30 +253,27 @@ def normalize_pattern(pattern_values) -> tuple[np.ndarray, float]:
     return values / scale, scale
 
 
-def _project(p: np.ndarray, x: np.ndarray, noise: NoiseModel, index: int) -> float:
+def _project(p: np.ndarray, x: np.ndarray, draw: float | None) -> float:
     value = float((p * x).sum())
-    if noise.sigma > 0.0:
-        value += _noise_draw(noise.sigma, noise.seed, index)
-    return value
+    return value if draw is None else value + draw
 
 
-def _bucket(scaled: np.ndarray, halves: tuple, noise: NoiseModel, base_index: int) -> float:
+def _bucket(scaled: np.ndarray, halves: tuple, draws) -> float:
     # The projections of one bucket, unchecked: ``scaled`` is real and in
-    # [-1, 1], and ``halves`` is the scene as projected, (values,) or its
-    # split (plus, minus), each of the pattern's shape.
+    # [-1, 1], ``halves`` is the scene as projected, (values,) or its split
+    # (plus, minus), each of the pattern's shape, and ``draws`` holds the
+    # noise of the 2 * len(halves) projections in order (None at sigma = 0).
     plus, minus = _split(scaled)
     if len(halves) == 2:
         x_plus, x_minus = halves
-        base = 4 * base_index
         return (
-            _project(plus, x_plus, noise, base)
-            - _project(plus, x_minus, noise, base + 1)
-            - _project(minus, x_plus, noise, base + 2)
-            + _project(minus, x_minus, noise, base + 3)
+            _project(plus, x_plus, draws[0])
+            - _project(plus, x_minus, draws[1])
+            - _project(minus, x_plus, draws[2])
+            + _project(minus, x_minus, draws[3])
         )
     (x,) = halves
-    base = 2 * base_index
-    return _project(plus, x, noise, base) - _project(minus, x, noise, base + 1)
+    return _project(plus, x, draws[0]) - _project(minus, x, draws[1])
 
 
 def _projected(scene: SceneImage) -> tuple:
@@ -250,14 +287,17 @@ def project(
     """One physical projection: sum of pattern * object plus a noise draw.
 
     Both inputs must be nonnegative (they are the split halves). The noise
-    draw is fully determined by (noise.seed, measurement_index).
+    draw is fully determined by (noise.seed, measurement_index), an integer
+    in [0, 2**64 - 1].
     """
+    index = _measurement_index(measurement_index, 1)
     p = _require_real(pattern_values, "pattern")
     x = _require_real(object_values, "object")
     _require_same_shape(p, x)
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    return _project(p, x, noise, measurement_index)
+    draw = _noise_draw(noise.sigma, noise.seed, index) if noise.sigma > 0.0 else None
+    return _project(p, x, draw)
 
 
 def measure_bucket(
@@ -269,12 +309,15 @@ def measure_bucket(
     value takes four projections, combined as (+,+) - (+,-) - (-,+) + (-,-)
     at noise indices 4*base_index + {0..3}. Reflectance scenes are already
     nonnegative and take two projections at 2*base_index + {0, 1}. With
-    sigma = 0 the result equals the signed dot product sum(I * X).
+    sigma = 0 the result equals the signed dot product sum(I * X). The
+    largest noise index must fit in 64 bits.
     """
+    per = 4 if scene.range_tag is RangeTag.SIGNED else 2
+    start = per * _measurement_index(base_index, per)
     scene.assert_in_range()
     values = _require_normalized(pattern_values)
     _require_same_shape(values, scene.values)
-    return _bucket(values, _projected(scene), noise, base_index)
+    return _bucket(values, _projected(scene), _draws(noise, start, per))
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage):
@@ -306,6 +349,7 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     product of its rows' max-abs, max|L_m| * max|R_n|: rounding is
     monotone, so that product is bit for bit the max over the outer
     product, and it is taken from two per-factor vectors, not a scan.
+    The noise of each left row's buckets is drawn as one block.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
@@ -314,15 +358,18 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
         )
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1).tolist() for f in (left, right))
     halves = _projected(scene)
+    per = 2 * len(halves)  # projections per bucket
     rows_r = right.kept_rows
     buckets = np.empty((left.kept_rows, rows_r))
     for m, peak_l in enumerate(peaks_l):
+        row = _draws(noise, per * m * rows_r, per * rows_r)
         for n, peak_r in enumerate(peaks_r):
             scale = peak_l * peak_r
             if scale == 0.0:
                 raise DegeneratePatternError("all-zero pattern cannot be normalized")
             scaled = pattern(left, right, m, n) / scale
-            buckets[m, n] = scale * _bucket(scaled, halves, noise, m * rows_r + n)
+            draws = row[per * n : per * n + per]
+            buckets[m, n] = scale * _bucket(scaled, halves, draws)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

@@ -4,9 +4,10 @@ Each case draws a hybrid spec from a seeded generator: random kinds per
 chain entry, chain lengths 1-3, a random truncation of the outermost
 factor, and a random scene in the declared range. The metrics are checked
 against direct per-window and per-entry oracles over random images, and
-the noise draws against a fresh Philox generator per draw. The physical
-acquisition loop is checked bitwise against an oracle loop that spells out
-every normalization, split, projection and draw.
+the noise draws against Box-Muller spelt out over a fresh Philox generator
+per draw. The physical acquisition loop is checked bitwise against an
+oracle loop that spells out every normalization, split, projection and
+draw.
 """
 
 import re
@@ -41,7 +42,7 @@ from hybridgi import (
     vec_rows,
 )
 from hybridgi.measurement import forward
-from hybridgi.simulator import _noise_draw
+from hybridgi.simulator import _noise_block, _noise_draw
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
 ALL_KINDS = REAL_KINDS + ("dft",)
@@ -150,22 +151,30 @@ def test_bucket_files_round_trip_bitwise(tmp_path, seed, length, range_tag):
 
 
 def oracle_draw(sigma: float, seed: int, index: int) -> float:
-    """The reference noise draw: a new Philox generator for every draw."""
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, index])
-    return float(np.random.Generator(bitgen).normal(0.0, sigma))
+    """The reference noise draw, spelt out from a new Philox generator per draw.
+
+    Draw k is sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller), where
+    u1, u2 are words 2k and 2k + 1 of the Philox(key=seed) stream as 53-bit
+    fractions. Those two words lie in the 4-word block that a generator set
+    to counter k // 2 yields first.
+    """
+    words = np.random.Philox(key=seed, counter=[index // 2, 0, 0, 0]).random_raw(4)
+    first = 2 * (index % 2)
+    u1, u2 = ((int(word) >> 11) * 2.0**-53 for word in words[first : first + 2])
+    return float(sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))
 
 
 def random_draws(count: int) -> list[tuple[float, int, int]]:
     """(sigma, seed, index) triples: edge seeds and indices, then random ones.
 
-    The oracle's counter list goes through float64 above 2**63 - 1, so
-    indices stay below that; a measurement index is below 4 * 4096**2.
+    A measurement index is below 4 * 4096**2; the edges reach 2**64 - 1.
     """
     rng = np.random.default_rng(7)
     edges = [
         (1.0, seed, index)
         for seed in (0, 1, 1 << 63, (1 << 64) - 1)
-        for index in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 7, (1 << 63) - 1)
+        for index in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 7, (1 << 63) - 1,
+                      (1 << 64) - 2, (1 << 64) - 1)
     ]
     return edges + [
         (
@@ -182,16 +191,15 @@ def test_noise_draw_equals_fresh_generator_oracle():
     assert [_noise_draw(*d) for d in draws] == [oracle_draw(*d) for d in draws]
 
 
-def test_noise_draw_equals_oracle_from_eight_threads():
-    draws = random_draws(4000)
-    want = [oracle_draw(*d) for d in draws]
-    got = [None] * len(draws)
+def in_eight_threads(call, calls: list[tuple]) -> list:
+    """[call(*args) for args in calls], from 8 threads that switch often."""
+    got = [None] * len(calls)
     start = threading.Barrier(8)
 
     def worker(first: int) -> None:
         start.wait()
-        for i in range(first, len(draws), 8):
-            got[i] = _noise_draw(*draws[i])
+        for i in range(first, len(calls), 8):
+            got[i] = call(*calls[i])
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
@@ -204,6 +212,62 @@ def test_noise_draw_equals_oracle_from_eight_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return got
+
+
+def test_noise_draw_equals_oracle_from_eight_threads():
+    draws = random_draws(4000)
+    assert in_eight_threads(_noise_draw, draws) == [oracle_draw(*d) for d in draws]
+
+
+NOISE_SEEDS = (0, 1, 1 << 63, (1 << 64) - 1)
+LAST_ROW = 4 * 4096**2 - 4 * 4096  # first projection of a 4096-order signed scan's last row
+
+
+@pytest.mark.parametrize("seed", NOISE_SEEDS)
+@pytest.mark.parametrize(
+    "start, count",
+    [
+        (0, 1), (1, 1), (0, 2), (1, 2), (2, 2),  # within one 4-word Philox block
+        (1, 4), (2, 7), (3, 9), (6, 31),  # across Philox blocks, odd and even start
+        (4 * 64 - 5, 10), (2 * 64 - 3, 2 * 64 + 6),  # across a 64-column left row
+        (LAST_ROW - 3, 4 * 4096 + 3),  # up to the last index at the 4096 order cap
+        (4 * 4096**2 - 1, 1), (4 * 4096**2 - 2, 2), (4 * 4096**2 - 7, 7),
+    ],
+)
+def test_noise_block_equals_its_draws(seed, start, count):
+    # Every block is its one-draw blocks, so draw k is the same whichever block yields it.
+    block = _noise_block(0.05, seed, start, count)
+    assert block.dtype == np.float64 and block.shape == (count,)
+    assert block.tolist() == [_noise_draw(0.05, seed, start + i) for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", NOISE_SEEDS)
+@pytest.mark.parametrize("block", [0, 3, 1 << 40])
+def test_noise_block_reads_the_philox_stream_in_order(seed, block):
+    # Draws 2 * block + {0, 1, ...} take consecutive word pairs of the
+    # stream from Philox block ``block`` on; 2 * block + 1 skips one pair.
+    words = np.random.Philox(key=seed, counter=[block, 0, 0, 0]).random_raw(2 * 1001)
+    u = (words >> 11) * 2.0**-53
+    u1, u2 = u[0::2].copy(), u[1::2].copy()
+    want = 0.05 * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    assert _noise_block(0.05, seed, 2 * block, 1001).tobytes() == want.tobytes()
+    assert _noise_block(0.05, seed, 2 * block + 1, 1000).tobytes() == want[1:].tobytes()
+
+
+def test_noise_block_equals_its_draws_from_eight_threads():
+    rng = np.random.default_rng(9)
+    blocks = [
+        (
+            float(rng.choice([1e-3, 0.05, 1.0])),
+            int(rng.integers(1 << 64, dtype=np.uint64)),
+            int(rng.integers(4 * 4096**2 - 300)),
+            int(rng.integers(1, 300)),
+        )
+        for _ in range(200)
+    ]
+    want = [[_noise_draw(s, seed, k + i) for i in range(n)] for s, seed, k, n in blocks]
+    got = in_eight_threads(lambda *b: _noise_block(*b).tolist(), blocks)
     assert got == want
 
 

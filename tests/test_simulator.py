@@ -1,5 +1,6 @@
 """Acquisition simulator tests: splitting, projection, noise, determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import hybridgi
 from hybridgi import (
+    ChainEntry,
     DegeneratePatternError,
     HybridSpec,
     NoiseModel,
@@ -29,6 +31,8 @@ from hybridgi import (
     separable_object,
     split_pattern,
 )
+from hybridgi.measurement import forward
+from hybridgi.simulator import _noise_block
 
 KINDS = ("hadamard", "dct", "haar")
 
@@ -118,6 +122,20 @@ class TestProject:
         b = project(p, x, NoiseModel(0.5, seed=2), 0)
         assert a != b
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("index", [-1, 1 << 64, 1.5, True, "1", None])
+    def test_bad_measurement_index_rejected(self, sigma, index):
+        message = rf"^measurement index must be an integer in \[0, {(1 << 64) - 1}\], got "
+        with pytest.raises(ParameterError, match=message):
+            project(np.ones((2, 2)), np.ones((2, 2)), NoiseModel(sigma, 1), index)
+
+    def test_measurement_index_edges_and_numpy_integers(self):
+        p, x, noise = np.ones((2, 2)), np.ones((2, 2)), NoiseModel(0.1, 1)
+        assert project(p, x, noise, np.int64(5)) == project(p, x, noise, 5)
+        assert project(p, x, noise, np.uint64((1 << 64) - 1)) == project(
+            p, x, noise, (1 << 64) - 1
+        )
+
 
 class TestMeasureBucket:
     def test_all_ones_signed(self):
@@ -202,6 +220,22 @@ class TestMeasureBucket:
         ]
         assert abs(np.var(samples) / (2 * sigma**2) - 1.0) < 0.10
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("range_tag, last", [(RangeTag.REFLECTANCE, (1 << 63) - 1),
+                                                 (RangeTag.SIGNED, (1 << 62) - 1)])
+    def test_base_index_must_keep_its_noise_indices_in_64_bits(self, sigma, range_tag, last):
+        # The largest noise index of a bucket, per * base_index + per - 1, is below 2**64.
+        scene = SceneImage(np.zeros((2, 2)), range_tag)
+        noise = NoiseModel(sigma, seed=3)
+        assert np.isfinite(measure_bucket(np.ones((2, 2)), scene, noise, last))
+        assert measure_bucket(np.ones((2, 2)), scene, noise, np.int64(7)) == measure_bucket(
+            np.ones((2, 2)), scene, noise, 7
+        )
+        message = rf"^measurement index must be an integer in \[0, {last}\], got "
+        for bad in (last + 1, 1 << 64, -1, 1.5, True, "0"):
+            with pytest.raises(ParameterError, match=message):
+                measure_bucket(np.ones((2, 2)), scene, noise, bad)
+
 
 class TestAcquire:
     @pytest.mark.parametrize("left_kind", KINDS)
@@ -283,6 +317,40 @@ class TestAcquire:
         assert buckets.spec == spec
         assert buckets.noise_sigma == 0.02
         assert buckets.seed == 5
+
+
+class TestNoiseStatistics:
+    """Limits of five standard errors, so a broken Box-Muller or a slipped
+    word offset fails here and not only in the benchmark's output checks."""
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_draws_are_standard_normal_and_uncorrelated(self, seed):
+        z = _noise_block(1.0, seed, 0, 200_000)
+        n = z.size
+        assert abs(z.mean()) <= 5 / math.sqrt(n)
+        assert abs(z.std() - 1.0) <= 5 / math.sqrt(2 * n)
+        assert abs(np.mean(z**4) / np.mean(z**2) ** 2 - 3.0) <= 5 * math.sqrt(24 / n)
+        assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) <= 5 / math.sqrt(n)
+
+    @pytest.mark.parametrize(
+        "range_tag, std", [(RangeTag.REFLECTANCE, math.sqrt(2.0)), (RangeTag.SIGNED, 2.0)]
+    )
+    def test_normalised_acquire_residual_has_the_projection_count_std(self, range_tag, std):
+        # (bucket - L X R^H) / (sigma a_m b_n) sums 2 or 4 unit draws with signs.
+        spec = HybridSpec(
+            (ChainEntry("hadamard", 64), ChainEntry("dct", 64, 48)), (ChainEntry("haar", 64),)
+        )
+        rng = np.random.default_rng(21)
+        lo, hi = range_tag.bounds
+        scene = SceneImage(rng.uniform(lo, hi, (64, 64)), range_tag)
+        sigma = 0.05
+        left, right = compose_chain(spec)
+        scale = sigma * np.outer(*(np.abs(f.entries).max(axis=1) for f in (left, right)))
+        buckets = acquire(spec, scene, NoiseModel(sigma, seed=17)).values
+        z = ((buckets - forward(left, right, scene.values)) / scale).ravel()
+        n = z.size
+        assert abs(z.mean()) <= 5 * std / math.sqrt(n)
+        assert abs(z.std() - std) <= 5 * std / math.sqrt(2 * n)
 
 
 class TestAcquireIdeal:
