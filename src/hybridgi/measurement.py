@@ -375,7 +375,7 @@ def pattern(left, right, m: int, n: int) -> np.ndarray:
         raise IndexError(f"left row {m} out of range [0, {left.kept_rows})")
     if not 0 <= n < right.kept_rows:
         raise IndexError(f"right row {n} out of range [0, {right.kept_rows})")
-    return np.outer(left.entries[m], right.entries[n].conj())
+    return left.entries[m, :, None] * right.entries[n].conj()
 
 
 def compose_chain(spec: HybridSpec) -> tuple[TruncatedTransform, TruncatedTransform]:

@@ -14,12 +14,16 @@ built anew; a lock keeps the re-key and the draw together when threads
 acquire in parallel. ``acquire`` draws one block per left row of buckets;
 ``project`` and ``measure_bucket`` draw the same values one call at a time.
 
-``acquire`` checks the factor shapes, the scene's range and that no factor
-is complex once per acquisition. A bucket then only builds, scales, splits
-and projects its pattern: the halves (1 +- v)/2 of a normalized pattern
-are nonnegative by construction. The public ``split_pattern``,
-``normalize_pattern``, ``project`` and ``measure_bucket`` check their
-inputs on every call, then run the same private arithmetic.
+``acquire`` checks the factor shapes, the scene's range, that no factor
+is complex and that no pattern scale is zero once per acquisition. It never
+forms a pattern's halves: for each projected scene half h (the scene, or
+its own halves when signed), sum((1 +- v)/2 * h) = (sum(h) +- sum(v * h))/2
+with v the pattern over its scale, so a bucket takes one product-sum of the
+displayed pattern per scene half, and sum(h) is taken once. The public
+``split_pattern``, ``normalize_pattern``, ``project`` and ``measure_bucket``
+check their inputs on every call and form the halves explicitly: they are
+the per-projection reference, which ``acquire`` matches to rounding. Both
+paths combine projections and draws in the same order (``_combine``).
 """
 
 import math
@@ -118,6 +122,8 @@ class NoiseModel:
 
     def __post_init__(self):
         try:  # normalised, so the draws and the sidecar record the same values
+            if any(isinstance(v, (bool, np.bool_)) for v in (self.sigma, self.seed)):
+                raise TypeError(f"got a boolean in ({self.sigma!r}, {self.seed!r})")
             sigma, seed = float(self.sigma), operator.index(self.seed)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"sigma must be a number, seed an integer: {exc}") from None
@@ -253,27 +259,19 @@ def normalize_pattern(pattern_values) -> tuple[np.ndarray, float]:
     return values / scale, scale
 
 
-def _project(p: np.ndarray, x: np.ndarray, draw: float | None) -> float:
-    value = float((p * x).sum())
-    return value if draw is None else value + draw
+def _dot(p: np.ndarray, x: np.ndarray) -> float:
+    return float((p * x).sum())
 
 
-def _bucket(scaled: np.ndarray, halves: tuple, draws) -> float:
-    # The projections of one bucket, unchecked: ``scaled`` is real and in
-    # [-1, 1], ``halves`` is the scene as projected, (values,) or its split
-    # (plus, minus), each of the pattern's shape, and ``draws`` holds the
-    # noise of the 2 * len(halves) projections in order (None at sigma = 0).
-    plus, minus = _split(scaled)
-    if len(halves) == 2:
-        x_plus, x_minus = halves
-        return (
-            _project(plus, x_plus, draws[0])
-            - _project(plus, x_minus, draws[1])
-            - _project(minus, x_plus, draws[2])
-            + _project(minus, x_minus, draws[3])
-        )
-    (x,) = halves
-    return _project(plus, x, draws[0]) - _project(minus, x, draws[1])
+def _combine(plus: list, minus: list, draws) -> float:
+    # One bucket from its projections: plus[i] and minus[i] project the
+    # pattern's halves (1 +- v)/2 on the scene's i-th projected half, and
+    # ``draws`` holds the noise of those projections, plus first, in order
+    # (None at sigma = 0): (+,+) - (+,-) - (-,+) + (-,-), or (+) - (-).
+    terms = [t if d is None else t + d for t, d in zip(plus + minus, draws)]
+    if len(terms) == 4:
+        return terms[0] - terms[1] - terms[2] + terms[3]
+    return terms[0] - terms[1]
 
 
 def _projected(scene: SceneImage) -> tuple:
@@ -296,8 +294,8 @@ def project(
     _require_same_shape(p, x)
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    draw = _noise_draw(noise.sigma, noise.seed, index) if noise.sigma > 0.0 else None
-    return _project(p, x, draw)
+    value = _dot(p, x)
+    return value if noise.sigma == 0.0 else value + _noise_draw(noise.sigma, noise.seed, index)
 
 
 def measure_bucket(
@@ -317,7 +315,9 @@ def measure_bucket(
     scene.assert_in_range()
     values = _require_normalized(pattern_values)
     _require_same_shape(values, scene.values)
-    return _bucket(values, _projected(scene), _draws(noise, start, per))
+    halves = _projected(scene)
+    plus, minus = ([_dot(p, h) for h in halves] for p in _split(values))
+    return _combine(plus, minus, _draws(noise, start, per))
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage):
@@ -339,17 +339,21 @@ def _factors_for(spec: HybridSpec, scene: SceneImage):
 def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSignals:
     """Simulate the full acquisition loop for one hybridization set.
 
-    Every kept (m, n) pattern is normalized to [-1, 1], split, projected
-    against the scene, and the bucket value rescaled by the normalization
-    factor. At sigma = 0 the result equals L @ X @ R^H exactly (to
-    rounding), with L and R the effective truncated factors.
+    Every kept (m, n) pattern is displayed as its two nonnegative halves
+    (1 +- v)/2, v = pattern / scale with scale its max-abs, and projected
+    against the scene; the bucket value is rescaled by ``scale``. At
+    sigma = 0 the result equals L @ X @ R^H exactly (to rounding), with L
+    and R the effective truncated factors.
 
-    The shapes, the scene's range and the realness of the factors are
-    checked once, before the first bucket. A pattern's max-abs is the
-    product of its rows' max-abs, max|L_m| * max|R_n|: rounding is
+    The shapes, the scene's range, the realness of the factors and a zero
+    scale are checked once, before the first bucket. A pattern's max-abs is
+    the product of its rows' max-abs, max|L_m| * max|R_n|: rounding is
     monotone, so that product is bit for bit the max over the outer
-    product, and it is taken from two per-factor vectors, not a scan.
-    The noise of each left row's buckets is drawn as one block.
+    product. The halves are never formed: a half projects on a scene half
+    h as (sum(h) +- sum(pattern * h) / scale)/2, with sum(h) taken once, so
+    a bucket takes one product-sum per scene half. This matches the
+    explicit split of ``measure_bucket`` to rounding (about 1e-12), not
+    bitwise. The noise of each left row's buckets is drawn as one block.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
@@ -357,7 +361,10 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
             "complex transform factors cannot be physically projected"
         )
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1).tolist() for f in (left, right))
+    if min(peaks_l) * min(peaks_r) == 0.0:  # the least scale; rounding is monotone
+        raise DegeneratePatternError("all-zero pattern cannot be normalized")
     halves = _projected(scene)
+    sums = [float(h.sum()) for h in halves]
     per = 2 * len(halves)  # projections per bucket
     rows_r = right.kept_rows
     buckets = np.empty((left.kept_rows, rows_r))
@@ -365,11 +372,11 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
         row = _draws(noise, per * m * rows_r, per * rows_r)
         for n, peak_r in enumerate(peaks_r):
             scale = peak_l * peak_r
-            if scale == 0.0:
-                raise DegeneratePatternError("all-zero pattern cannot be normalized")
-            scaled = pattern(left, right, m, n) / scale
-            draws = row[per * n : per * n + per]
-            buckets[m, n] = scale * _bucket(scaled, halves, draws)
+            shown = pattern(left, right, m, n)
+            diffs = [_dot(shown, h) / scale for h in halves]
+            plus = [(s + d) / 2.0 for s, d in zip(sums, diffs)]
+            minus = [(s - d) / 2.0 for s, d in zip(sums, diffs)]
+            buckets[m, n] = scale * _combine(plus, minus, row[per * n : per * n + per])
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

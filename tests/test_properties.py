@@ -6,8 +6,10 @@ factor, and a random scene in the declared range. The metrics are checked
 against direct per-window and per-entry oracles over random images, and
 the noise draws against Box-Muller spelt out over a fresh Philox generator
 per draw. The physical acquisition loop is checked bitwise against an
-oracle loop that spells out every normalization, split, projection and
-draw.
+oracle loop that spells out the identity it computes, each half of a
+pattern projected as (sum(h) +- sum(pattern * h) / scale) / 2, and to
+1e-12 against the explicit split of every pattern into its halves, spelt
+out and through the public per-bucket helpers.
 """
 
 import re
@@ -34,6 +36,8 @@ from hybridgi import (
     count_significant,
     fileio,
     kron,
+    measure_bucket,
+    normalize_pattern,
     pattern,
     quality_report,
     reconstruct_1d,
@@ -271,14 +275,47 @@ def test_noise_block_equals_its_draws_from_eight_threads():
     assert got == want
 
 
-def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
-    """The acquisition loop spelt out, with every projection's draw from oracle_draw."""
-    left, right = compose_chain(spec)
+def scene_halves(scene) -> tuple:
     x = scene.values
     if scene.range_tag is RangeTag.SIGNED:
-        halves = ((1.0 + x) / 2.0, (1.0 - x) / 2.0)
-    else:
-        halves = (x,)
+        return ((1.0 + x) / 2.0, (1.0 - x) / 2.0)
+    return (x,)
+
+
+def combine(terms: list) -> float:
+    """A bucket from its projections in draw order: (+,+) - (+,-) - (-,+) + (-,-), or (+) - (-)."""
+    if len(terms) == 4:
+        return terms[0] - terms[1] - terms[2] + terms[3]
+    return terms[0] - terms[1]
+
+
+def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
+    """The acquisition loop by the identity sum((1 +- v)/2 * h) = (sum(h) +- sum(v * h)) / 2.
+
+    v is the pattern over its max-abs ``scale`` and h a projected half of the
+    scene; every projection's draw comes from oracle_draw.
+    """
+    left, right = compose_chain(spec)
+    halves = scene_halves(scene)
+    buckets = np.empty((left.kept_rows, right.kept_rows))
+    for m in range(left.kept_rows):
+        for n in range(right.kept_rows):
+            raw = pattern(left, right, m, n)
+            scale = float(np.max(np.abs(raw)))
+            base = 2 * len(halves) * (m * right.kept_rows + n)
+            terms = [
+                (float(np.sum(h)) + sign * (float(np.sum(raw * h)) / scale)) / 2.0
+                + oracle_draw(sigma, seed, base + k)
+                for k, (sign, h) in enumerate((sign, h) for sign in (1.0, -1.0) for h in halves)
+            ]
+            buckets[m, n] = scale * combine(terms)
+    return buckets
+
+
+def split_oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
+    """The acquisition loop with each pattern explicitly split into its halves."""
+    left, right = compose_chain(spec)
+    halves = scene_halves(scene)
     buckets = np.empty((left.kept_rows, right.kept_rows))
     for m in range(left.kept_rows):
         for n in range(right.kept_rows):
@@ -292,11 +329,19 @@ def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
                 float(np.sum(p * h)) + oracle_draw(sigma, seed, base + k)
                 for k, (p, h) in enumerate(pairs)
             ]
-            if len(terms) == 4:
-                value = terms[0] - terms[1] - terms[2] + terms[3]
-            else:
-                value = terms[0] - terms[1]
-            buckets[m, n] = scale * value
+            buckets[m, n] = scale * combine(terms)
+    return buckets
+
+
+def public_acquire(spec, scene, noise) -> np.ndarray:
+    """The acquisition loop through normalize_pattern and measure_bucket."""
+    left, right = compose_chain(spec)
+    buckets = np.empty((left.kept_rows, right.kept_rows))
+    for m in range(left.kept_rows):
+        for n in range(right.kept_rows):
+            scaled, scale = normalize_pattern(pattern(left, right, m, n))
+            index = m * right.kept_rows + n
+            buckets[m, n] = scale * measure_bucket(scaled, scene, noise, base_index=index)
     return buckets
 
 
@@ -306,6 +351,24 @@ def test_noisy_acquire_equals_oracle_loop(seed, length, range_tag):
     noise_seed = (1 << 64) - 1 - seed
     got = acquire(spec, scene, NoiseModel(0.05, noise_seed)).values
     assert got.tobytes() == oracle_acquire(spec, scene, 0.05, noise_seed).tobytes()
+
+
+@cases
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_acquire_equals_split_loop_to_rounding(seed, length, range_tag, sigma):
+    spec, scene = random_case(seed, length, range_tag, REAL_KINDS)
+    noise_seed = (1 << 64) - 1 - seed
+    got = acquire(spec, scene, NoiseModel(sigma, noise_seed)).values
+    assert np.max(np.abs(got - split_oracle_acquire(spec, scene, sigma, noise_seed))) <= 1e-12
+
+
+@cases
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_acquire_equals_public_bucket_loop_to_rounding(seed, length, range_tag, sigma):
+    spec, scene = random_case(seed, length, range_tag, REAL_KINDS)
+    noise = NoiseModel(sigma, seed + 17)
+    got = acquire(spec, scene, noise).values
+    assert np.max(np.abs(got - public_acquire(spec, scene, noise))) <= 1e-12
 
 
 def large_case(height: int, width: int, range_tag: RangeTag):
@@ -325,14 +388,38 @@ def large_case(height: int, width: int, range_tag: RangeTag):
     return spec, SceneImage(rng.uniform(lo, hi, (height, width)), range_tag)
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.05])
-@pytest.mark.parametrize("range_tag", list(RangeTag))
-@pytest.mark.parametrize("height, width", [(16, 16), (32, 64), (64, 64)])
+large_cases = pytest.mark.parametrize(
+    "height, width, range_tag, sigma",
+    [(h, w, r, s) for h, w in [(16, 16), (32, 64), (64, 64)] for r in RangeTag
+     for s in (0.0, 0.05)],
+)
+
+
+@large_cases
 def test_large_acquire_equals_oracle_loop(height, width, range_tag, sigma):
     spec, scene = large_case(height, width, range_tag)
     noise_seed = height * width + 11
     got = acquire(spec, scene, NoiseModel(sigma, noise_seed)).values
     assert got.tobytes() == oracle_acquire(spec, scene, sigma, noise_seed).tobytes()
+
+
+@large_cases
+def test_large_acquire_equals_split_loop_to_rounding(height, width, range_tag, sigma):
+    spec, scene = large_case(height, width, range_tag)
+    noise_seed = height * width + 11
+    got = acquire(spec, scene, NoiseModel(sigma, noise_seed)).values
+    assert np.max(np.abs(got - split_oracle_acquire(spec, scene, sigma, noise_seed))) <= 1e-12
+
+
+@kind_pairs
+def test_pattern_is_the_outer_product_bitwise(left_kind, right_kind):
+    _, (left, right), _ = pair_case(left_kind, right_kind, 5, 3)
+    for m in range(5):
+        for n in range(3):
+            got = pattern(left, right, m, n)
+            want = np.outer(left.entries[m], right.entries[n].conj())
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (m, n)
 
 
 def assert_pattern_peaks_are_row_peak_products(left, right):

@@ -31,7 +31,7 @@ from hybridgi import (
     separable_object,
     split_pattern,
 )
-from hybridgi.measurement import forward
+from hybridgi.measurement import as_factor, forward
 from hybridgi.simulator import _noise_block
 
 KINDS = ("hadamard", "dct", "haar")
@@ -308,6 +308,31 @@ class TestAcquire:
         second = acquire(spec, scene, noise)
         assert np.array_equal(first.values, second.values)
 
+    @pytest.mark.parametrize("left_row, right_row", [(0.0, 0.5), (1e-200, 1e-200)],
+                             ids=["zero-row", "underflowing-scale"])
+    def test_zero_scale_is_rejected_before_the_first_pattern(
+        self, monkeypatch, left_row, right_row
+    ):
+        # The least scale is checked once: a zero row, or row peaks whose
+        # product underflows, would give some pattern a zero scale.
+        from hybridgi import TransformKind, TransformMatrix, simulator
+
+        left = np.full((4, 4), 0.5)
+        left[3] = left_row
+        right = np.full((2, 2), 0.5)
+        right[1] = right_row
+        factors = [TransformMatrix(TransformKind.COMPOSITE, len(e), e) for e in (left, right)]
+        composed = tuple(map(as_factor, factors))
+        monkeypatch.setattr(simulator, "compose_chain", lambda spec: composed)
+        calls = []
+        monkeypatch.setattr(simulator, "pattern", lambda *args: calls.append(args))
+        spec = HybridSpec.pair("hadamard", 4, "hadamard", 2)
+        scene = SceneImage(np.full((4, 2), 0.5), RangeTag.REFLECTANCE)
+        with pytest.raises(DegeneratePatternError,
+                           match="^all-zero pattern cannot be normalized$"):
+            acquire(spec, scene, NoiseModel(0.05, 1))
+        assert calls == []
+
     def test_metadata_carried(self):
         spec = HybridSpec.pair("hadamard", 4, "haar", 4)
         scene = separable_object(
@@ -399,6 +424,16 @@ class TestModels:
     def test_noise_model_rejects_a_sigma_that_is_not_a_number(self, sigma):
         with pytest.raises(ParameterError):
             NoiseModel(sigma, 0)
+
+    @pytest.mark.parametrize(
+        "sigma, seed",
+        [(True, True), (False, 0), (0.01, True), (0.01, False), (np.bool_(True), 1),
+         (0.01, np.bool_(False))],
+    )
+    def test_noise_model_rejects_a_boolean(self, sigma, seed):
+        # A bool is an int to Python: NoiseModel(True, True) would draw with sigma 1, seed 1.
+        with pytest.raises(ParameterError, match="^sigma must be a number, seed an integer: "):
+            NoiseModel(sigma, seed)
 
     def test_noise_model_stores_plain_numbers(self):
         noise = NoiseModel(np.float32(0.01), np.int64(3))
