@@ -26,8 +26,6 @@ from .measurement import (
     ChainEntry,
     FootprintReport,
     HybridSpec,
-    MeasurementMatrix,
-    TruncatedTransform,
     compose_chain,
     footprint_report,
     kron,

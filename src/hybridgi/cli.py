@@ -39,7 +39,7 @@ def _read_config_json(args) -> tuple[object, Path]:
     config_path = Path(args.config)
     try:
         return json.loads(config_path.read_text()), config_path.parent
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(str(config_path), f"invalid JSON: {exc}") from exc
 
 

@@ -113,7 +113,11 @@ def _bad_value(text: str, parse) -> ImageParseError:
 
 def read_csv_matrix(path) -> np.ndarray:
     """Read a CSV matrix written by write_csv_matrix (real or complex)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not {exc.encoding} text ({exc.reason})"
+        raise ImageParseError(message, offset=exc.start) from None
     rows = [line.split(",") for line in text.split("\n") if line.strip()]
     # A complex file may hold real tokens too: complex() parses them alike.
     parse, dtype = (complex, np.complex128) if "j" in text else (float, np.float64)
@@ -173,6 +177,6 @@ def read_buckets(path) -> BucketSignals:
     try:
         checks = {"spec": HybridSpec.from_dict, "noise_sigma": as_number, "seed": as_int}
         meta = fields(read_json(sidecar), "", checks, {})
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ImageParseError(f"bucket sidecar {sidecar}: {exc}") from exc
     return BucketSignals(values, meta["noise_sigma"], meta["seed"], meta["spec"])

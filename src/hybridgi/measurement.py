@@ -11,7 +11,7 @@ with right row n; image column l = i * N + j addresses pixel (i, j).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,69 +32,18 @@ _KIND_SHORT = {
 }
 
 
-@dataclass(frozen=True)
-class TruncatedTransform:
-    """The first ``kept_rows`` rows of a transform matrix, in natural order.
-
-    With kept_rows == order this is the full matrix. The kept rows stay
-    orthonormal among themselves, which is what makes sub-Nyquist recovery
-    an orthogonal projection.
-    """
-
-    source: TransformMatrix
-    kept_rows: int
-    entries: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not 1 <= self.kept_rows <= self.source.order:
-            raise ShapeError(
-                f"kept_rows must be in [1, {self.source.order}], got {self.kept_rows}"
-            )
-        object.__setattr__(self, "entries", self.source.entries[: self.kept_rows])
-
-    @property
-    def order(self) -> int:
-        return self.source.order
-
-    @property
-    def is_complex(self) -> bool:
-        return self.source.is_complex
-
-    @classmethod
-    def full(cls, source: TransformMatrix) -> "TruncatedTransform":
-        return cls(source, source.order)
+def truncate(source: TransformMatrix, kept_rows: int) -> TransformMatrix:
+    """Keep the first ``kept_rows`` rows of ``source``, as a read-only view."""
+    if not 1 <= kept_rows <= source.kept_rows:
+        raise ShapeError(f"kept_rows must be in [1, {source.kept_rows}], got {kept_rows}")
+    return TransformMatrix(source.kind, source.order, source.entries[:kept_rows])
 
 
-def truncate(source: TransformMatrix, kept_rows: int) -> TruncatedTransform:
-    """Keep the first ``kept_rows`` rows of ``source``."""
-    return TruncatedTransform(source, kept_rows)
-
-
-def as_factor(t) -> TruncatedTransform:
-    """A TruncatedTransform as is, or a TransformMatrix as its full truncation."""
-    if isinstance(t, TruncatedTransform):
-        return t
-    if isinstance(t, TransformMatrix):
-        return TruncatedTransform.full(t)
-    raise ShapeError(f"expected a transform factor, got {type(t).__name__}")
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """Dense Kronecker product of a left and a right factor."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def row_count(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.entries.shape[1]
+def as_factor(t) -> TransformMatrix:
+    """``t`` itself, once checked to be a transform factor."""
+    if not isinstance(t, TransformMatrix):
+        raise ShapeError(f"expected a transform factor, got {type(t).__name__}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -345,23 +294,22 @@ def forward(left, right, x) -> np.ndarray:
     return as_factor(left).entries @ x @ as_factor(right).entries.conj().T
 
 
-def kron(left, right) -> MeasurementMatrix:
-    """Dense measurement matrix A = kron(L, conj(R)).
+def kron(left, right) -> TransformMatrix:
+    """Dense measurement matrix A = kron(L, conj(R)), a COMPOSITE of order M * N.
 
     A[k, l] = L[m, i] * conj(R[n, j]) with k = m * rows(R) + n and
     l = i * N + j. For any X: A @ vec_rows(X) == vec_rows(forward(L, R, X)).
-    Untruncated orthonormal factors give an orthonormal A.
+    A keeps rows(L) * rows(R) rows, orthonormal as the factors' rows are.
     """
     left = as_factor(left)
     right = as_factor(right)
-    n_entries = (
-        left.kept_rows * right.kept_rows * left.order * right.order
-    )
+    n_entries = left.kept_rows * right.kept_rows * left.order * right.order
     if n_entries > KRON_ENTRY_CAP:
         raise ResourceLimitError(
             f"kron would materialize {n_entries} entries (cap {KRON_ENTRY_CAP})"
         )
-    return MeasurementMatrix(np.kron(left.entries, right.entries.conj()))
+    entries = np.kron(left.entries, right.entries.conj())
+    return TransformMatrix(TransformKind.COMPOSITE, left.order * right.order, entries)
 
 
 def pattern(left, right, m: int, n: int) -> np.ndarray:
@@ -378,7 +326,7 @@ def pattern(left, right, m: int, n: int) -> np.ndarray:
     return left.entries[m, :, None] * right.entries[n].conj()
 
 
-def compose_chain(spec: HybridSpec) -> tuple[TruncatedTransform, TruncatedTransform]:
+def compose_chain(spec: HybridSpec) -> tuple[TransformMatrix, TransformMatrix]:
     """Collapse each side's chain into one effective truncated factor.
 
     The first chain entry is applied first, so the effective matrix is the
@@ -387,7 +335,7 @@ def compose_chain(spec: HybridSpec) -> tuple[TruncatedTransform, TruncatedTransf
     factor. Single-entry chains come back unchanged.
     """
 
-    def side(chain: tuple[ChainEntry, ...]) -> TruncatedTransform:
+    def side(chain: tuple[ChainEntry, ...]) -> TransformMatrix:
         factors = [build_transform(e.kind, e.order) for e in chain]
         if len(factors) == 1:
             return truncate(factors[0], chain[-1].kept_rows)

@@ -11,6 +11,9 @@ from .simulator import RangeTag, SceneImage
 SSIM_WINDOW = 8
 # Default threshold of the bucket sparsity count, relative to the largest magnitude.
 SIGNIFICANCE_REL_TOL = 1e-6
+# An exact recovery's rms error bound, in eps * peak per pixel of the larger
+# side; noise-free full-rate round trips measure at most ~1/20 of it.
+EXACT_ULPS_PER_SIDE = 8
 
 Roi = tuple[int, int, int, int]  # (top, left, height, width)
 
@@ -171,19 +174,28 @@ def quality_report(
 
     When peak is omitted it defaults to the declared range width of the
     reference scene (1.0 for reflectance, 2.0 for signed).
+
+    A recovery is exact when its mse is at most (8 * n * eps * peak)^2, n
+    the larger compared side. It reports mse = 0.0 and the finite psnr_db
+    of that bound, -20 * log10(8 * n * eps), not rounding residue or inf.
     """
     if peak is None:
         if isinstance(reference, SceneImage):
             peak = RangeTag(reference.range_tag).width
         else:
             raise ParameterError("peak is required when reference is a bare array")
+    _require_finite_positive("peak", peak)
     count = None
     if buckets is not None:
         count = int(np.count_nonzero(significant(buckets, rel_tol)[1]))
+    err = mse(reference, test, roi)
+    side = max(roi[2:] if roi is not None else _as_array(reference).shape)
+    margin = EXACT_ULPS_PER_SIDE * side * np.finfo(np.float64).eps
+    exact = err <= (margin * peak) ** 2
     return QualityReport(
-        psnr_db=psnr(reference, test, peak, roi),
+        psnr_db=-20.0 * math.log10(margin) if exact else psnr(reference, test, peak, roi),
         ssim=ssim(reference, test, peak, roi),
-        mse=mse(reference, test, roi),
+        mse=0.0 if exact else err,
         significant_count=count,
         roi=roi,
     )

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .measurement import (
-    HybridSpec,
-    MeasurementMatrix,
-    TruncatedTransform,
-    as_factor,
-    compose_chain,
-    forward,
-)
+from .measurement import HybridSpec, as_factor, compose_chain, forward
 from .simulator import BucketSignals, RangeTag, SceneImage
+from .transforms import TransformMatrix
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,8 @@ class ReconstructionResult:
 
 
 def _invert(
-    left: TruncatedTransform,
-    right: TruncatedTransform,
+    left: TransformMatrix,
+    right: TransformMatrix,
     y,
     spec: HybridSpec | None,
     range_tag: RangeTag,
@@ -58,7 +52,7 @@ def _invert(
 
 def reconstruct_1d(a, y) -> np.ndarray:
     """One-dimensional recovery x' = A^H @ y."""
-    entries = a.entries if isinstance(a, MeasurementMatrix) else np.asarray(a)
+    entries = a.entries if isinstance(a, TransformMatrix) else np.asarray(a)
     y = np.asarray(y)
     if y.ndim != 1 or y.size != entries.shape[0]:
         raise ShapeError(

@@ -13,7 +13,7 @@ Indexing is 0-based everywhere in this package.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -30,30 +30,40 @@ class TransformKind(str, Enum):
     HAAR = "haar"
     DFT = "dft"
     IDENTITY = "identity"
-    # Product of a multi-factor chain; see measurement.compose_chain.
+    # Built from other factors: a chain's product (measurement.compose_chain)
+    # or a Kronecker product of two factors (measurement.kron).
     COMPOSITE = "composite"
 
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """A square orthonormal matrix with provenance metadata.
+    """The first ``kept_rows`` rows of an orthonormal order x order matrix.
+
+    With kept_rows == order this is the whole matrix; fewer kept rows are
+    sub-Nyquist sampling. The kept rows stay orthonormal among themselves,
+    which is what makes sub-Nyquist recovery an orthogonal projection.
 
     Attributes
     ----------
     kind : TransformKind
         Which construction produced the matrix.
     order : int
-        Side length (the matrix is order x order).
+        Side length of the whole matrix (order x order).
     entries : np.ndarray
-        Dense float64 (complex128 for DFT) array, marked read-only.
+        The kept rows, kept_rows x order, dense float64 (complex128 for
+        DFT), marked read-only.
+    kept_rows : int
+        Number of kept rows, entries.shape[0].
     """
 
     kind: TransformKind
     order: int
     entries: np.ndarray
+    kept_rows: int = field(init=False)  # a field: pattern reads it per bucket
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+        object.__setattr__(self, "kept_rows", self.entries.shape[0])
 
     @property
     def is_complex(self) -> bool:
@@ -198,9 +208,8 @@ def _as_entries(t) -> np.ndarray:
 def orthonormality_defect(t) -> float:
     """Max elementwise |T @ T^H - I| over the rows of ``t``.
 
-    Accepts a TransformMatrix, a TruncatedTransform, a MeasurementMatrix,
-    or a plain 2-D array. Zero (to rounding) means the rows form an
-    orthonormal set.
+    Accepts a TransformMatrix (its kept rows) or a plain 2-D array. Zero
+    (to rounding) means the rows form an orthonormal set.
     """
     entries = _as_entries(t)
     gram = entries @ entries.conj().T

@@ -161,6 +161,22 @@ class TestRunCommand:
         projected = left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         assert np.max(np.abs(recon - projected)) < 1e-10
 
+    def test_exact_recovery_report_is_strict_json(self, tmp_path, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        exact = dict(BASE_CONFIG, object=dict(BASE_CONFIG["object"], height=16, width=16),
+                     hybrid={"left": [{"kind": "identity", "order": 16}],
+                             "right": [{"kind": "identity", "order": 16}]},
+                     noise={"sigma": 0.0, "seed": 0})
+        config_path = write_config(tmp_path, exact)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        quality = json.loads((out / "report.json").read_text(), parse_constant=reject)["quality"]
+        assert quality["mse"] == 0.0
+        assert quality["psnr_db"] == pytest.approx(-20 * np.log10(8 * 16 * np.finfo(float).eps))
+        assert f"psnr={quality['psnr_db']:.2f} " in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", SHIPPED_RUN_CONFIGS)
     def test_reconstruct_reproduces_run_image(self, tmp_path, name):
         config_path = CONFIGS / name
@@ -245,6 +261,28 @@ class TestExitCodes:
         sidecar.write_text(json.dumps(meta))
         assert main(["reconstruct", "--config", str(config_path), "--out", str(out)]) == 2
         assert "buckets.csv.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reader, command, code",
+        [("config", "run", 1), ("sidecar", "reconstruct", 2),
+         ("buckets", "reconstruct", 2), ("scene", "run", 2)],
+    )
+    def test_undecodable_byte_is_reported(self, tmp_path, capsys, reader, command, code):
+        scene = tmp_path / "scene.csv"
+        scene.write_text("0.5,0.25\n0,1\n")
+        config = dict(BASE_CONFIG, object={"path": "scene.csv", "range": "reflectance"},
+                      hybrid={"left": [{"kind": "hadamard", "order": 2}],
+                              "right": [{"kind": "haar", "order": 2}]})
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["acquire", "--config", str(config_path), "--out", str(out)]) == 0
+        corrupt = {"config": config_path, "sidecar": out / "buckets.csv.json",
+                   "buckets": out / "buckets.csv", "scene": scene}[reader]
+        corrupt.write_bytes(corrupt.read_bytes()[:3] + b"\xff" + corrupt.read_bytes()[3:])
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert corrupt.name in err and ("position 3" in err or "byte offset 3" in err)
 
     @pytest.mark.parametrize(
         "where, key, field",

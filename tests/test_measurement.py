@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridgi.measurement import CONFIG_KINDS, as_int, fields
+from hybridgi.measurement import CONFIG_KINDS, as_int, fields, forward
 
 from hybridgi import (
     ChainCompositionError,
@@ -14,7 +14,6 @@ from hybridgi import (
     ResourceLimitError,
     ShapeError,
     TransformKind,
-    TruncatedTransform,
     build_dct,
     build_hadamard,
     build_haar,
@@ -24,6 +23,7 @@ from hybridgi import (
     kron,
     orthonormality_defect,
     pattern,
+    reconstruct_2d,
     single_peak_stripe_search,
     truncate,
     unvec,
@@ -63,7 +63,7 @@ def test_unvec_length_mismatch():
 class TestKron:
     def test_dimensions(self):
         a = kron(build_hadamard(5), build_dct(16))
-        assert (a.row_count, a.col_count) == (512, 512)
+        assert (a.kept_rows, a.order) == (512, 512)
 
     def test_matches_hadamard_recursion(self):
         d1 = build_hadamard(1)
@@ -110,6 +110,12 @@ class TestKron:
         big = build_hadamard(12)
         with pytest.raises(ResourceLimitError):
             kron(big, big)
+
+    def test_is_a_composite_of_the_kept_rows(self):
+        a = kron(truncate(build_hadamard(3), 5), truncate(build_dct(4), 3))
+        assert a.kind is TransformKind.COMPOSITE
+        assert (a.order, a.kept_rows, a.entries.shape) == (32, 15, (15, 32))
+        assert not a.entries.flags.writeable
 
 
 class TestPattern:
@@ -160,7 +166,7 @@ class TestComposeChain:
         left, right = compose_chain(spec)
         assert np.array_equal(left.entries, build_hadamard(5).entries)
         assert np.array_equal(right.entries, build_dct(16).entries)
-        assert left.source.kind is TransformKind.HADAMARD
+        assert left.kind is TransformKind.HADAMARD
 
     def test_two_factor_product_order(self):
         # First chain entry acts first, so the product is C8 @ D8.
@@ -171,7 +177,7 @@ class TestComposeChain:
         left, _ = compose_chain(spec)
         expected = build_dct(8).entries @ build_hadamard(3).entries
         assert_allclose(left.entries, expected, atol=1e-14)
-        assert left.source.kind is TransformKind.COMPOSITE
+        assert left.kind is TransformKind.COMPOSITE
 
     def test_composite_still_orthonormal(self):
         spec = HybridSpec(
@@ -228,7 +234,7 @@ class TestComposeChain:
 class TestTruncatedTransform:
     def test_full_reproduces_source(self):
         src = build_dct(16)
-        assert np.array_equal(TruncatedTransform.full(src).entries, src.entries)
+        assert np.array_equal(truncate(src, src.order).entries, src.entries)
 
     def test_rows_stay_orthonormal(self):
         t = truncate(build_haar(5), 29)
@@ -239,6 +245,18 @@ class TestTruncatedTransform:
             truncate(build_dct(8), 0)
         with pytest.raises(ShapeError):
             truncate(build_dct(8), 9)
+
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_keeps_kind_order_and_first_rows(self, k):
+        src = build_dct(8)
+        t = truncate(src, k)
+        assert (t.kind, t.order, t.kept_rows) == (TransformKind.DCT, 8, k)
+        assert np.array_equal(t.entries, src.entries[:k])
+        assert not t.entries.flags.writeable
+
+    def test_cannot_keep_more_rows_than_it_holds(self):
+        with pytest.raises(ShapeError, match=r"\[1, 5\], got 6"):
+            truncate(truncate(build_dct(8), 5), 6)
 
     def test_truncated_recovery_is_projection(self):
         left = truncate(build_hadamard(5), 29)
@@ -251,6 +269,19 @@ class TestTruncatedTransform:
             left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         )
         assert np.max(np.abs(via_a - projected)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.eye(4), np.eye(4).tolist(), None],
+                         ids=["ndarray", "list", "none"])
+@pytest.mark.parametrize("call", [
+    lambda f, bad: forward(bad, f, np.zeros((4, 4))),
+    lambda f, bad: kron(f, bad),
+    lambda f, bad: pattern(bad, f, 0, 0),
+    lambda f, bad: reconstruct_2d(f, bad, np.zeros((4, 4))),
+], ids=["forward", "kron", "pattern", "reconstruct_2d"])
+def test_non_factor_is_shape_error(call, bad):
+    with pytest.raises(ShapeError, match="expected a transform factor"):
+        call(build_hadamard(2), bad)
 
 
 class TestHybridSpec:

@@ -220,8 +220,30 @@ class TestQualityReport:
         buckets[1, 2] = 3.0
         report = quality_report(scene, scene.values, buckets=buckets)
         assert report.significant_count == 1
-        assert report.psnr_db == math.inf
+        assert report.psnr_db == -20 * math.log10(8 * 16 * np.finfo(float).eps)
         assert report.ssim == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("peak", [1.0, 2.0])
+    def test_rounding_residue_is_reported_exact(self, peak):
+        # 8 eps per pixel of the larger side, times peak, is the rms bound.
+        bound = 8 * 24 * np.finfo(float).eps * peak
+        reference = np.zeros((16, 24))
+        for rms, exact in [(0.0, True), (0.99 * bound, True), (1.01 * bound, False)]:
+            test = np.full((16, 24), rms)
+            report = quality_report(reference, test, peak=peak)
+            if exact:
+                assert report.mse == 0.0
+                assert report.psnr_db == pytest.approx(-20 * math.log10(bound / peak))
+                assert math.isfinite(report.psnr_db)
+            else:
+                assert report.mse == mse(reference, test)
+                assert report.psnr_db == psnr(reference, test, peak)
+
+    def test_exactness_uses_the_roi_side(self):
+        reference = np.zeros((64, 64))
+        test = np.full((64, 64), 8 * 32 * np.finfo(float).eps)
+        assert quality_report(reference, test, peak=1.0).mse == 0.0
+        assert quality_report(reference, test, peak=1.0, roi=(0, 0, 16, 8)).mse > 0.0
 
     def test_to_dict(self):
         scene = SceneImage(np.zeros((16, 16)), RangeTag.SIGNED)

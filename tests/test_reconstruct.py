@@ -69,7 +69,7 @@ class TestReconstruct2d:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1.0, 1.0, (8, 4))
         buckets = acquire(spec, SceneImage(x, RangeTag.SIGNED), NoiseModel(0.0, 0))
-        left, right = (t.source for t in compose_chain(spec))
+        left, right = compose_chain(spec)
         result = reconstruct_2d(left, right, buckets)
         assert np.max(np.abs(result.image.values - x)) < 1e-9
         assert result.residual_norm < 1e-9
