@@ -91,15 +91,18 @@ class HybridSpec:
                 raise ChainCompositionError(
                     f"{side} chain factors must share one order, got {sorted(orders)}"
                 )
+            order = chain[0].order
+            if order < 1:
+                raise ChainCompositionError(f"{side} chain order must be positive, got {order}")
             for entry in chain[:-1]:
                 if entry.kept_rows != entry.order:
                     raise ChainCompositionError(
                         f"{side} chain: only the outermost factor may be truncated"
                     )
             last = chain[-1]
-            if not 1 <= last.kept_rows <= last.order:
+            if not 1 <= last.kept_rows <= order:
                 raise ChainCompositionError(
-                    f"{side} chain kept_rows must be in [1, {last.order}], got {last.kept_rows}"
+                    f"{side} chain kept_rows must be in [1, {order}], got {last.kept_rows}"
                 )
 
     @classmethod

@@ -53,7 +53,11 @@ def _pair(a, b, roi: Roi | None) -> tuple[np.ndarray, np.ndarray]:
 def mse(a, b, roi: Roi | None = None) -> float:
     """Mean squared difference over the roi (whole image when absent)."""
     a, b = _pair(a, b, roi)
-    return float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):
+        err = float(np.mean((a - b) ** 2))
+    if err == math.inf:
+        raise ParameterError("the mean squared difference of the compared images overflows")
+    return err
 
 
 def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
@@ -133,7 +137,7 @@ def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:
 
     Returns (count, positions) with positions sorted by descending
     magnitude. An all-zero matrix counts zero entries. The count is
-    invariant under global rescaling of the signal.
+    invariant under rescaling the whole signal.
     """
     values, mask = significant(y, rel_tol)
     rows, cols = np.nonzero(mask)

@@ -8,10 +8,8 @@ same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
-stream. A Philox output depends only on its key and counter, so one
-process-wide generator is re-keyed for each block of draws instead of
-built anew; a lock keeps the re-key and the draw together when threads
-acquire in parallel. ``acquire`` draws one block per left row of buckets;
+stream. The module keeps no state: ``acquire`` streams one local Philox
+per acquisition, one block of draws per left row of buckets, and
 ``project`` and ``measure_bucket`` draw the same values one call at a time.
 
 ``acquire`` checks the factor shapes, the scene's range, that no factor
@@ -26,12 +24,11 @@ the per-projection reference, which ``acquire`` matches to rounding. Both
 paths combine projections and draws in the same order (``_combine``).
 """
 
+import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -91,26 +88,14 @@ class SceneImage:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @cached_property
-    def _in_range(self) -> bool:
-        # Cached, since the values are a read-only copy. NaN fails every comparison.
-        lo, hi = self.range_tag.bounds
-        return lo <= self.values.min() and self.values.max() <= hi
-
     def assert_in_range(self) -> None:
-        if not self._in_range:
-            lo, hi = self.range_tag.bounds
+        lo, hi = self.range_tag.bounds
+        low, high = self.values.min(), self.values.max()
+        if not (lo <= low and high <= hi):  # NaN fails every comparison
             raise PatternRangeError(
-                f"scene values [{self.values.min():.6g}, {self.values.max():.6g}] "
+                f"scene values [{low:.6g}, {high:.6g}] "
                 f"lie outside the declared {self.range_tag.value} range [{lo}, {hi}]"
             )
-
-    @cached_property
-    def halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """split_pattern(values), read-only: what a signed scene is projected as."""
-        plus, minus = split_pattern(self.values)
-        plus.flags.writeable = minus.flags.writeable = False
-        return plus, minus
 
 
 @dataclass(frozen=True)
@@ -150,40 +135,28 @@ class BucketSignals:
         object.__setattr__(self, "values", values)
 
 
-# The state of a fresh Philox(key=seed, counter=[block, 0, 0, 0]): its output
-# buffer is spent, so the first word drawn advances the counter and refills it.
-_KEY, _COUNTER = np.zeros(2, np.uint64), np.zeros(4, np.uint64)
-_STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER, "key": _KEY},
-          "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-_NOISE_LOCK = threading.Lock()
-_bit_generator = None
-
-
-def _noise_block(sigma: float, seed: int, start: int, count: int) -> np.ndarray:
-    """Noise draws ``start`` .. ``start + count - 1`` of ``seed``, as an array.
+def _noise_blocks(sigma: float, seed: int, start: int, count: int):
+    """Noise draws ``start``, ``start + 1``, ... of ``seed``, in arrays of ``count``.
 
     Draw k is sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller), with
     u1, u2 = (w >> 11) * 2**-53 for the words w = 2k, 2k + 1 of the
     Philox(key=seed) stream. Philox is counter-based: block j of that stream
-    (words 4j .. 4j + 3) is what a fresh Philox(key=seed, counter=[j, 0, 0, 0])
-    yields first, so a draw is a pure function of (seed, k) whichever block
-    produced it. A new Philox seeds itself from OS entropy before its key
-    applies, so one generator (built on first use: numpy.random is slow to
-    import) is re-keyed per block, under a lock so that threads cannot
-    interleave re-key and draw. Every ufunc below works element by element
-    on contiguous arrays, so a draw does not depend on the block's length.
+    (words 4j .. 4j + 3) is what Philox(key=seed, counter=[j, 0, 0, 0])
+    yields first, so a local generator can start at any draw. Every ufunc
+    below works element by element on contiguous arrays, so a draw does not
+    depend on the block's length or on the block that yields it.
     """
-    global _bit_generator
-    skip = 2 * (start % 2)  # words of the first Philox block before draw ``start``
-    with _NOISE_LOCK:
-        if _bit_generator is None:
-            _bit_generator = np.random.Philox()
-        _KEY[0] = seed
-        _COUNTER[0] = start // 2
-        _bit_generator.state = _STATE
-        words = _bit_generator.random_raw(skip + 2 * count)
-    u1, u2 = ((words[skip:].reshape(count, 2) >> 11) * 2.0**-53).T.copy()
-    return sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+    bit_generator = np.random.Philox(key=seed, counter=[start // 2, 0, 0, 0])
+    bit_generator.random_raw(2 * (start % 2))  # the word pair before an odd start
+    while True:
+        words = bit_generator.random_raw(2 * count)
+        u1, u2 = ((words.reshape(count, 2) >> 11) * 2.0**-53).T.copy()
+        yield sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def _noise_block(sigma: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Noise draws ``start`` .. ``start + count - 1`` of ``seed``: one block."""
+    return next(_noise_blocks(sigma, seed, start, count))
 
 
 def _noise_draw(sigma: float, seed: int, index: int) -> float:
@@ -191,11 +164,11 @@ def _noise_draw(sigma: float, seed: int, index: int) -> float:
     return float(_noise_block(sigma, seed, index, 1)[0])
 
 
-def _draws(noise: NoiseModel, start: int, count: int) -> list:
-    """The noise of projections ``start`` .. ``start + count - 1``; Nones at sigma = 0."""
+def _draws(noise: NoiseModel, start: int, count: int):
+    """Lists of the noise of ``count`` projections each, from ``start`` on; Nones at sigma = 0."""
     if noise.sigma == 0.0:
-        return [None] * count
-    return _noise_block(noise.sigma, noise.seed, start, count).tolist()
+        return itertools.repeat([None] * count)
+    return (block.tolist() for block in _noise_blocks(noise.sigma, noise.seed, start, count))
 
 
 def _measurement_index(index, projections: int) -> int:
@@ -276,7 +249,7 @@ def _combine(plus: list, minus: list, draws) -> float:
 
 def _projected(scene: SceneImage) -> tuple:
     """The scene as the projector sees it: split into halves when signed."""
-    return scene.halves if scene.range_tag is RangeTag.SIGNED else (scene.values,)
+    return _split(scene.values) if scene.range_tag is RangeTag.SIGNED else (scene.values,)
 
 
 def project(
@@ -317,7 +290,7 @@ def measure_bucket(
     _require_same_shape(values, scene.values)
     halves = _projected(scene)
     plus, minus = ([_dot(p, h) for h in halves] for p in _split(values))
-    return _combine(plus, minus, _draws(noise, start, per))
+    return _combine(plus, minus, next(_draws(noise, start, per)))
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage):
@@ -345,15 +318,10 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     sigma = 0 the result equals L @ X @ R^H exactly (to rounding), with L
     and R the effective truncated factors.
 
-    The shapes, the scene's range, the realness of the factors and a zero
-    scale are checked once, before the first bucket. A pattern's max-abs is
-    the product of its rows' max-abs, max|L_m| * max|R_n|: rounding is
-    monotone, so that product is bit for bit the max over the outer
-    product. The halves are never formed: a half projects on a scene half
-    h as (sum(h) +- sum(pattern * h) / scale)/2, with sum(h) taken once, so
-    a bucket takes one product-sum per scene half. This matches the
-    explicit split of ``measure_bucket`` to rounding (about 1e-12), not
-    bitwise. The noise of each left row's buckets is drawn as one block.
+    A pattern's max-abs is the product of its rows' max-abs,
+    max|L_m| * max|R_n|: rounding is monotone, so that product is bit for
+    bit the max over the outer product. Row m's projections start at
+    per * m * rows_r, so each row's noise is the next block of one stream.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
@@ -368,8 +336,7 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     per = 2 * len(halves)  # projections per bucket
     rows_r = right.kept_rows
     buckets = np.empty((left.kept_rows, rows_r))
-    for m, peak_l in enumerate(peaks_l):
-        row = _draws(noise, per * m * rows_r, per * rows_r)
+    for m, (peak_l, row) in enumerate(zip(peaks_l, _draws(noise, 0, per * rows_r))):
         for n, peak_r in enumerate(peaks_r):
             scale = peak_l * peak_r
             shown = pattern(left, right, m, n)

@@ -223,6 +223,19 @@ class TestExitCodes:
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
 
+    def test_overflowing_reconstruction_is_numeric_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        recon = out / "recon.csv"
+        first, rest = recon.read_text().split(",", 1)
+        recon.write_text(f"1e200,{rest}")
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "squared difference of the compared images overflows" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -321,6 +334,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"hybrid: left chain kept_rows must be in [1, 32], got {got}" in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"order": 0}, {"order": -8}, {"order": -8, "kept_rows": 2},
+         {"order": -8, "sampling_rate": 0.5}],
+        ids=["zero", "negative", "negative-with-kept-rows", "negative-with-rate"],
+    )
+    def test_non_positive_order_is_config_error(self, tmp_path, capsys, entry):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hybrid"]["left"][0] = {"kind": "dct", **entry}
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"hybrid: left chain order must be positive, got {entry['order']}\n" in err
 
     @pytest.mark.parametrize("value", [None, 5, ""], ids=["null", "number", "empty"])
     def test_object_path_must_be_a_file_name(self, tmp_path, capsys, value):

@@ -302,6 +302,15 @@ class TestHybridSpec:
         with pytest.raises(ChainCompositionError):
             HybridSpec.pair("hadamard", 8, "dct", 8, left_kept=0)
 
+    @pytest.mark.parametrize("order, kept", [(0, None), (-8, None), (-8, 2)])
+    def test_non_positive_order_is_named(self, order, kept):
+        # The order is named, not the kept-rows range [1, order] it implies.
+        message = f"chain order must be positive, got {order}$"
+        with pytest.raises(ChainCompositionError, match=f"^left {message}"):
+            HybridSpec.pair("dct", order, "dct", 8, left_kept=kept)
+        with pytest.raises(ChainCompositionError, match=f"^right {message}"):
+            HybridSpec.pair("dct", 8, "dct", order, right_kept=kept)
+
 
 class TestChainEntryKinds:
     @pytest.mark.parametrize(

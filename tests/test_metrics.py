@@ -194,6 +194,19 @@ class TestNonFiniteInput:
         with pytest.raises(ParameterError, match="compared images must be finite"):
             quality_report(scene, test)
 
+    @pytest.mark.parametrize("high, low", [(1e200, 0.0), (1e308, -1e308)])
+    @pytest.mark.parametrize("metric", [mse, lambda a, b: psnr(a, b, 1.0),
+                                        lambda a, b: quality_report(a, b, 1.0)],
+                             ids=["mse", "psnr", "quality_report"])
+    def test_overflowing_squared_difference_is_rejected(self, high, low, metric):
+        # Finite images whose squared difference overflows: an error, not inf.
+        a = np.full((8, 8), low)
+        b = a.copy()
+        b[0, 0] = high
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ParameterError, match="squared difference .* overflows"):
+                metric(*pair)
+
     def test_non_finite_outside_roi_is_not_compared(self):
         a = np.zeros((4, 4))
         b = np.zeros((4, 4))

@@ -46,7 +46,7 @@ from hybridgi import (
     vec_rows,
 )
 from hybridgi.measurement import forward
-from hybridgi.simulator import _noise_block, _noise_draw
+from hybridgi.simulator import _noise_block, _noise_blocks, _noise_draw
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
 ALL_KINDS = REAL_KINDS + ("dft",)
@@ -234,16 +234,22 @@ LAST_ROW = 4 * 4096**2 - 4 * 4096  # first projection of a 4096-order signed sca
     [
         (0, 1), (1, 1), (0, 2), (1, 2), (2, 2),  # within one 4-word Philox block
         (1, 4), (2, 7), (3, 9), (6, 31),  # across Philox blocks, odd and even start
+        (0, 3), (1, 3), (5, 7),  # odd counts, so the next block starts at the other parity
         (4 * 64 - 5, 10), (2 * 64 - 3, 2 * 64 + 6),  # across a 64-column left row
         (LAST_ROW - 3, 4 * 4096 + 3),  # up to the last index at the 4096 order cap
         (4 * 4096**2 - 1, 1), (4 * 4096**2 - 2, 2), (4 * 4096**2 - 7, 7),
     ],
 )
 def test_noise_block_equals_its_draws(seed, start, count):
-    # Every block is its one-draw blocks, so draw k is the same whichever block yields it.
+    # Every block is its one-draw blocks, so draw k is the same whichever block
+    # yields it, and block i of one stream is the block at start + i * count.
     block = _noise_block(0.05, seed, start, count)
     assert block.dtype == np.float64 and block.shape == (count,)
     assert block.tolist() == [_noise_draw(0.05, seed, start + i) for i in range(count)]
+    stream = _noise_blocks(0.05, seed, start, count)
+    for i in range(4):
+        want = _noise_block(0.05, seed, start + i * count, count)
+        assert next(stream).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", NOISE_SEEDS)
@@ -409,6 +415,20 @@ def test_large_acquire_equals_split_loop_to_rounding(height, width, range_tag, s
     noise_seed = height * width + 11
     got = acquire(spec, scene, NoiseModel(sigma, noise_seed)).values
     assert np.max(np.abs(got - split_oracle_acquire(spec, scene, sigma, noise_seed))) <= 1e-12
+
+
+def test_acquire_from_eight_threads_equals_serial_calls():
+    # Acquisitions share no state, so concurrent calls give the serial bytes.
+    calls = [
+        (*random_case(seed, length, range_tag, REAL_KINDS), NoiseModel(sigma, noise_seed))
+        for seed in SEEDS for length in (1, 3) for range_tag in RangeTag
+        for sigma, noise_seed in [(0.05, seed), (0.01, (1 << 64) - 1 - seed), (0.0, 0)]
+    ] + [
+        (*large_case(32, 64, range_tag), NoiseModel(0.05, seed))
+        for range_tag in RangeTag for seed in (3, 4)
+    ]
+    want = [acquire(*call).values.tobytes() for call in calls]
+    assert in_eight_threads(lambda *call: acquire(*call).values.tobytes(), calls) == want
 
 
 @kind_pairs

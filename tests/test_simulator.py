@@ -477,18 +477,6 @@ class TestSceneCaches:
             messages.append(str(caught.value))
         assert messages[0] == messages[1] and "lie outside the declared" in messages[0]
 
-    def test_halves_are_the_read_only_split_of_the_values(self):
-        rng = np.random.default_rng(21)
-        scene = SceneImage(rng.uniform(-1, 1, (5, 7)), RangeTag.SIGNED)
-        plus, minus = scene.halves
-        want_plus, want_minus = split_pattern(scene.values)
-        assert plus.tobytes() == want_plus.tobytes()
-        assert minus.tobytes() == want_minus.tobytes()
-        assert scene.halves[0] is plus
-        for half in (plus, minus):
-            with pytest.raises(ValueError):
-                half[0, 0] = 0.0
-
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random is slow to import, so the first noise draw loads it.
