@@ -2,7 +2,9 @@
 
 CSV matrices are row-major, one matrix row per line, 17 significant digits
 per value so float64 round-trips exactly. Complex values (ideal DFT bucket
-signals) are written as Python complex literals like ``1.5+0.25j``.
+signals) are written as Python complex literals like ``1.5+0.25j``. Both
+directions go one row at a time, so they hold O(one matrix) memory, and the
+bytes are exactly those of formatting each value on its own.
 """
 
 import json
@@ -91,12 +93,19 @@ def write_csv_matrix(path, matrix: np.ndarray) -> None:
         matrix = np.stack((matrix.real, matrix.imag), axis=-1).reshape(height, 2 * width)
     else:
         row_format = ",".join(["%.17g"] * width)
-    lines = [row_format % tuple(row) for row in matrix.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.writelines(row_format % tuple(row.tolist()) + "\n" for row in matrix)
+        out.write("" if height else "\n")
 
 
-def _bad_value(text: str, parse) -> ImageParseError:
-    """The error for the first token ``parse`` rejects, once parsing has failed."""
+def _raise_csv_error(path):
+    """Raise the error of a CSV matrix read_csv_matrix rejected, from its whole text."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not {exc.encoding} text ({exc.reason})"
+        raise ImageParseError(message, offset=exc.start) from None
+    parse = complex if "j" in text else float
     offset = 0
     for line in text.split("\n"):
         for token in line.split(","):
@@ -105,32 +114,29 @@ def _bad_value(text: str, parse) -> ImageParseError:
                     parse(token)
             except ValueError:
                 value = token.strip()
-                return ImageParseError(
-                    f"bad CSV value {value!r}", offset=offset + token.find(value)
-                )
+                offset += token.find(value)
+                raise ImageParseError(f"bad CSV value {value!r}", offset=offset) from None
             offset += len(token) + 1  # the token and its comma or newline
+    widths = sorted({len(line.split(",")) for line in text.split("\n") if line.strip()})
+    message = f"ragged CSV rows (widths {widths})" if widths else "empty CSV matrix"
+    raise ImageParseError(message, offset=0)
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Read a CSV matrix written by write_csv_matrix (real or complex)."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        message = f"{path}: not {exc.encoding} text ({exc.reason})"
-        raise ImageParseError(message, offset=exc.start) from None
-    rows = [line.split(",") for line in text.split("\n") if line.strip()]
+    """Read a CSV matrix; a ``j`` anywhere (found by a byte scan) makes it complex."""
+    with open(path, "rb") as raw:
+        complex_file = any(b"j" in chunk for chunk in iter(lambda: raw.read(1 << 16), b""))
     # A complex file may hold real tokens too: complex() parses them alike.
-    parse, dtype = (complex, np.complex128) if "j" in text else (float, np.float64)
+    parse, dtype = (complex, np.complex128) if complex_file else (float, np.float64)
     try:
-        values = np.array(list(map(parse, [token for row in rows for token in row])), dtype)
-    except ValueError:
-        raise _bad_value(text, parse) from None
-    if not rows:
-        raise ImageParseError("empty CSV matrix", offset=0)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ImageParseError(f"ragged CSV rows (widths {sorted(widths)})", offset=0)
-    return values.reshape(len(rows), widths.pop())
+        with open(path) as text:
+            rows = [np.array(list(map(parse, line.split(","))), dtype)
+                    for line in text if line.strip()]
+    except ValueError:  # a bad token, or a byte that does not decode
+        rows = []
+    if len({row.size for row in rows}) != 1:
+        _raise_csv_error(path)
+    return np.stack(rows)
 
 
 def read_finite_matrix(path) -> np.ndarray:

@@ -24,6 +24,13 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_peak(peak: float) -> None:
+    """peak^2 bounds c1, c2, the psnr numerator and the exact-recovery bound."""
+    _require_finite_positive("peak", peak)
+    if float(peak) * float(peak) == math.inf:
+        raise ParameterError(f"peak must have a finite square, got {peak}")
+
+
 def _as_array(x) -> np.ndarray:
     return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
@@ -62,7 +69,7 @@ def mse(a, b, roi: Roi | None = None) -> float:
 
 def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     """10 * log10(peak^2 / mse) in dB; +inf when the images match exactly."""
-    _require_finite_positive("peak", peak)
+    _require_peak(peak)
     err = mse(reference, test, roi)
     if err == 0.0:
         return math.inf
@@ -70,21 +77,21 @@ def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
 
 
 def _window_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each interior 8x8 window over the last two axes, stride 1.
+    """Sum of each interior 8x8 window of a 2-D array, stride 1.
 
     Separable shifted adds (columns, then rows) keep every sum to 8 + 8
     terms, so no rounding error accumulates across the image as it would
     in a summed-area table.
     """
     w = SSIM_WINDOW
-    cols = x.shape[-1] - w + 1
-    across = x[..., :cols].copy()
+    cols = x.shape[1] - w + 1
+    across = x[:, :cols].copy()
     for k in range(1, w):
-        across += x[..., k : k + cols]
-    rows = x.shape[-2] - w + 1
-    sums = across[..., :rows, :].copy()
+        across += x[:, k : k + cols]
+    rows = x.shape[0] - w + 1
+    sums = across[:rows].copy()
     for k in range(1, w):
-        sums += across[..., k : k + rows, :]
+        sums += across[k : k + rows]
     return sums
 
 
@@ -95,25 +102,25 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     c2 = (0.03 * peak)^2; window statistics use the unbiased (n - 1)
     normalization. The compared region must be at least 8x8.
     """
-    _require_finite_positive("peak", peak)
+    _require_peak(peak)
     a, b = _pair(reference, test, roi)
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise ShapeError(
             f"region {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window"
         )
     n = SSIM_WINDOW * SSIM_WINDOW
-    sums = _window_sums(np.stack((a, b, a * a, b * b, a * b)))
-    sum_a, sum_b, sum_aa, sum_bb, sum_ab = sums
-    mu_a = sum_a / n
-    mu_b = sum_b / n
-    var_a = (sum_aa - sum_a * mu_a) / (n - 1)
-    var_b = (sum_bb - sum_b * mu_b) / (n - 1)
-    cov = (sum_ab - sum_a * mu_b) / (n - 1)
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
-    per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    )
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
+        sum_a, sum_b = _window_sums(a), _window_sums(b)  # a plane at a time: less memory
+        sum_aa, sum_bb, sum_ab = _window_sums(a * a), _window_sums(b * b), _window_sums(a * b)
+        mu_a, mu_b = sum_a / n, sum_b / n
+        var_a = (sum_aa - sum_a * mu_a) / (n - 1)
+        var_b = (sum_bb - sum_b * mu_b) / (n - 1)
+        cov = (sum_ab - sum_a * mu_b) / (n - 1)
+        denominator = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / denominator
+    if not (np.isfinite(denominator).all() and np.isfinite(per_window).all()):
+        raise ParameterError("the SSIM window statistics of the compared images overflow")
     return float(per_window.mean())
 
 
@@ -188,7 +195,7 @@ def quality_report(
             peak = RangeTag(reference.range_tag).width
         else:
             raise ParameterError("peak is required when reference is a bare array")
-    _require_finite_positive("peak", peak)
+    _require_peak(peak)
     count = None
     if buckets is not None:
         count = int(np.count_nonzero(significant(buckets, rel_tol)[1]))

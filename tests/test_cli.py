@@ -236,6 +236,28 @@ class TestExitCodes:
         assert "squared difference of the compared images overflows" in err
         assert "Traceback" not in err
 
+    def test_overflowing_ssim_statistics_are_numeric_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        recon = out / "recon.csv"
+        values = fileio.read_csv_matrix(recon)
+        fileio.write_csv_matrix(recon, 1e151 * (1.0 + np.abs(values)))
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "SSIM window statistics of the compared images overflow" in err
+        assert "Traceback" not in err
+
+    def test_peak_with_an_overflowing_square_is_numeric_error(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "stripes_compression.json").read_text())
+        config["metrics"]["peak"] = 1e200
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "peak must have a finite square" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit",
         [

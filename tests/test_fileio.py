@@ -1,5 +1,8 @@
 """File format tests: PGM parsing, CSV precision, bucket sidecars."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,8 +144,9 @@ class TestCsvEdgeCases:
             np.array([[True, False], [False, True]]),
             np.array([[0.0, -0.0, 1.5], [-2.5, np.inf, np.nan]])[:, ::-1],
             np.zeros((0, 3)),
+            np.array([[0.1], [-2.5], [np.nan]]),
         ],
-        ids=["specials", "integers", "bools", "strided", "no-rows"],
+        ids=["specials", "integers", "bools", "strided", "no-rows", "one-column"],
     )
     def test_real_bytes_equal_per_value_format(self, tmp_path, matrix):
         path = tmp_path / "m.csv"
@@ -152,6 +156,16 @@ class TestCsvEdgeCases:
     def test_complex_bytes_equal_per_value_format(self, tmp_path):
         matrix = edge_matrix(5, (6, 5), np.complex128)
         matrix[0, :4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), -2.5j]
+        path = tmp_path / "c.csv"
+        fileio.write_csv_matrix(path, matrix)
+        assert path.read_text() == oracle_csv(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((0, 2), np.complex128), np.array([[0.1 - 2j], [-0.0j], [np.nan + 1j]])],
+        ids=["no-rows", "one-column"],
+    )
+    def test_complex_shapes_bytes_equal_per_value_format(self, tmp_path, matrix):
         path = tmp_path / "c.csv"
         fileio.write_csv_matrix(path, matrix)
         assert path.read_text() == oracle_csv(matrix)
@@ -213,6 +227,133 @@ class TestCsvEdgeCases:
         path.write_text(text)
         with pytest.raises(ImageParseError):
             fileio.read_csv_matrix(path)
+
+
+def oracle_read_csv(path) -> np.ndarray:
+    """The whole-text CSV reader: every row of tokens in memory at once."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not {exc.encoding} text ({exc.reason})"
+        raise ImageParseError(message, offset=exc.start) from None
+    rows = [line.split(",") for line in text.split("\n") if line.strip()]
+    parse, dtype = (complex, np.complex128) if "j" in text else (float, np.float64)
+    try:
+        values = np.array(list(map(parse, [token for row in rows for token in row])), dtype)
+    except ValueError:
+        offset = 0
+        for line in text.split("\n"):
+            for token in line.split(","):
+                try:
+                    if line.strip():
+                        parse(token)
+                except ValueError:
+                    value = token.strip()
+                    raise ImageParseError(
+                        f"bad CSV value {value!r}", offset=offset + token.find(value)
+                    ) from None
+                offset += len(token) + 1
+    if not rows:
+        raise ImageParseError("empty CSV matrix", offset=0)
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ImageParseError(f"ragged CSV rows (widths {sorted(widths)})", offset=0)
+    return values.reshape(len(rows), widths.pop())
+
+
+MIB_OF_ROWS = b"1.25,-2.5e-3\n" * ((1 << 20) // 13 + 1)
+BIG_COMPLEX = b"".join(b"%d+0.5j,-%dj\n" % (k, k) for k in range(80_000))
+
+ORACLE_CASES = {
+    "real": b"1.0,2.0\n3.0,4.5e-300\n",
+    "complex": b"1+2j,3-4j\n5.5+6j, -7j\n",
+    "specials": b"nan,-inf,inf,-0.0\n5e-324,1e308,0.1,-0\n",
+    "bad-token": b"1.0,2.0\n3.0,oops\n",
+    "bad-imaginary": b"1+2j,3-4j\n5+6j, 7+oopsj\n",
+    "crlf-real-token-in-complex": b"1+2j,3-4j\r\n\r\n5,x\r\n",
+    "empty-token": b"1+2j,,3j\n",
+    "trailing-comma": b"1,2,\n",
+    "repeated-text": b"1e5,e5\n",
+    "mixed-real-and-complex": b"1.5, 2-0.5j\n-inf,0j\n",
+    "j-only-on-last-line": b"1,2\n3.25,-4\n5,6j\n",
+    "j-only-on-last-line-big": MIB_OF_ROWS + b"7,8j\n",
+    "bad-token-at-end-of-big-complex": BIG_COMPLEX + b"1j,(2\n",
+    "big-complex": BIG_COMPLEX,
+    "parenthesised-complex": b"(1),(2-1j)\n3j,(4)\n",
+    "parenthesised-real": b"(1),2\n",
+    "underscore-real": b"1_0,2_000.5\n",
+    "underscore-complex": b"1_0,2_0j\n",
+    "crlf-blank-and-trailing-lines": b"\r\n 1.5 , -2\r\n\n  \r\n\t3e2,nan \r\n\n\n  \n",
+    "cr-only": b"1,2\r3,4\r",
+    "no-final-newline": b"1,2\n3,4",
+    "unicode-space": "1,2\u0085\n\u20003,4\n".encode(),
+    "bad-token-after-a-mib": MIB_OF_ROWS + b"1.0,x\n",
+    "bad-byte-after-a-mib": MIB_OF_ROWS + b"1.0,\xff\n",
+    "bad-byte-first-line": b"1,\xff2\n",
+    "ragged": b"1,2\n3\n",
+    "ragged-complex": b"1j,2j\n3j,4j,5j\n",
+    "ragged-after-blank": b"1,2\n\n3,4,\n",
+    "ragged-big": MIB_OF_ROWS + b"1\n",
+    "empty-file": b"",
+    "newline-only": b"\n",
+    "whitespace-only": b"  \n\t\r\n \n",
+}
+
+
+class TestCsvReaderOracle:
+    @pytest.mark.parametrize("data", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_streaming_read_equals_whole_text_read(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        try:
+            expected = oracle_read_csv(path)
+        except ImageParseError as oracle_error:
+            with pytest.raises(ImageParseError) as err:
+                fileio.read_csv_matrix(path)
+            assert type(err.value) is type(oracle_error)
+            assert str(err.value) == str(oracle_error)
+            assert err.value.offset == oracle_error.offset
+        else:
+            read = fileio.read_csv_matrix(path)
+            assert read.dtype == expected.dtype and read.shape == expected.shape
+            assert read.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_written_edge_matrix_reads_as_the_oracle_does(self, tmp_path, dtype):
+        path = tmp_path / "m.csv"
+        fileio.write_csv_matrix(path, edge_matrix(7, (9, 4), dtype))
+        assert fileio.read_csv_matrix(path).tobytes() == oracle_read_csv(path).tobytes()
+
+
+def traced_peak(call) -> tuple[int, object]:
+    """The peak bytes traced while call() runs, above those held on entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    MIB = 1 << 20
+
+    def matrix(self) -> np.ndarray:
+        rng = np.random.default_rng(8)
+        return rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+
+    def test_complex_write_holds_about_one_matrix(self, tmp_path):
+        matrix = self.matrix()  # 1 MiB
+        peak, _ = traced_peak(lambda: fileio.write_csv_matrix(tmp_path / "c.csv", matrix))
+        assert peak <= 2 * self.MIB
+
+    def test_complex_read_holds_about_one_matrix_beyond_its_result(self, tmp_path):
+        path = tmp_path / "c.csv"
+        fileio.write_csv_matrix(path, self.matrix())
+        peak, read = traced_peak(lambda: fileio.read_csv_matrix(path))
+        assert read.nbytes == self.MIB
+        assert peak - read.nbytes <= 3 * self.MIB
 
 
 class TestBuckets:

@@ -1,6 +1,7 @@
 """Quality metric tests with hand-computed expected values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hybridgi import (
     quality_report,
     ssim,
 )
-from hybridgi.metrics import significant
+from hybridgi.metrics import SSIM_WINDOW, _window_sums, significant
 
 
 class TestMse:
@@ -121,6 +122,100 @@ class TestSsim:
         a = np.random.default_rng(4).uniform(size=(8, 8))
         with pytest.raises(ParameterError, match="peak must be finite and positive"):
             ssim(a, a[::-1], peak=peak)
+
+
+def stacked_ssim(a, b, peak):
+    """SSIM with the window sums of all five planes taken as one stack."""
+    n = SSIM_WINDOW * SSIM_WINDOW
+    sum_a, sum_b, sum_aa, sum_bb, sum_ab = _window_sums_stacked(
+        np.stack((a, b, a * a, b * b, a * b))
+    )
+    mu_a = sum_a / n
+    mu_b = sum_b / n
+    var_a = (sum_aa - sum_a * mu_a) / (n - 1)
+    var_b = (sum_bb - sum_b * mu_b) / (n - 1)
+    cov = (sum_ab - sum_a * mu_b) / (n - 1)
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    )
+    return float(per_window.mean())
+
+
+def _window_sums_stacked(x):
+    w = SSIM_WINDOW
+    cols = x.shape[-1] - w + 1
+    across = x[..., :cols].copy()
+    for k in range(1, w):
+        across += x[..., k : k + cols]
+    rows = x.shape[-2] - w + 1
+    sums = across[..., :rows, :].copy()
+    for k in range(1, w):
+        sums += across[..., k : k + rows, :]
+    return sums
+
+
+class TestSsimPlanes:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40)])
+    def test_per_plane_sums_equal_stacked_sums_bitwise(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        b = a + rng.normal(scale=0.1, size=shape)
+        peak = float(rng.uniform(0.5, 4.0))
+        for x in (a, b):
+            assert np.array_equal(_window_sums(x), _window_sums_stacked(x[None])[0])
+        assert ssim(a, b, peak) == stacked_ssim(a, b, peak)
+        assert ssim(b, a, peak) == stacked_ssim(b, a, peak)
+
+    def test_memory_on_256_squared(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.random((256, 256)), rng.random((256, 256))  # 0.5 MiB each
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ssim(a, b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 << 20
+
+
+class TestLargeValues:
+    @pytest.mark.parametrize("peak", [1e200, np.float64(1e160), 2e154])
+    @pytest.mark.parametrize(
+        "metric", [psnr, ssim, quality_report], ids=["psnr", "ssim", "quality_report"]
+    )
+    def test_peak_whose_square_overflows_is_rejected(self, peak, metric):
+        a = np.zeros((8, 8))
+        with pytest.raises(ParameterError, match="peak must have a finite square"):
+            metric(a, a + 0.5, peak)
+
+    def test_peak_with_a_finite_square_passes_the_peak_check(self):
+        a = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        assert math.isfinite(psnr(a, a + 2.0, 1e154))
+        # c1 * c2 overflows long before peak^2 does: an error, not a NaN.
+        with pytest.raises(ParameterError, match="SSIM window statistics"):
+            ssim(a, a[::-1], 1e154)
+
+    @pytest.mark.parametrize("scale", [1e151, 1e160, 1e200])
+    def test_overflowing_window_statistics_are_rejected(self, scale):
+        rng = np.random.default_rng(10)
+        huge = scale * (1.0 + rng.random((16, 16)))
+        for pair in ((huge, np.zeros((16, 16))), (np.zeros((16, 16)), huge), (huge, huge)):
+            with pytest.raises(ParameterError, match="SSIM window statistics .* overflow"):
+                ssim(*pair, peak=1.0)
+
+    def test_quality_report_rejects_overflowing_window_statistics(self):
+        reference = SceneImage(np.zeros((16, 16)), RangeTag.REFLECTANCE)
+        test = 1e151 * (1.0 + np.random.default_rng(11).random((16, 16)))
+        with pytest.raises(ParameterError, match="SSIM window statistics"):
+            quality_report(reference, test)
+
+    def test_large_finite_statistics_still_compute(self):
+        a = 1e70 * np.random.default_rng(12).random((16, 16))
+        assert ssim(a, a, peak=1e70) == pytest.approx(1.0)
 
 
 class TestCountSignificant:
