@@ -35,23 +35,33 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-# Per generator: the checks of its required and of its optional fields. An
-# optional field's default lives on the generator's own signature.
-GENERATOR_FIELDS = {
+def _separable(left_kind, left_order, right_kind, right_order, row, col, **options):
+    left, right = build_transform(left_kind, left_order), build_transform(right_kind, right_order)
+    return separable_object(left, right, row, col, **options)
+
+
+# Per generator: its builder and the checks of its required and of its
+# optional fields. An optional field's default lives on the builder. A
+# builder looks its generator up by name when called, so that a function
+# rebound on this module, such as a test's fake or a timing wrapper, is used.
+GENERATORS = {
     "stripes": (
+        lambda **p: staggered_stripes(StripeSpec(**p)),
         {"height": as_int, "width": as_int, "stripe_period": as_int},
         {"orientation": one_of(tuple(o.value for o in Orientation), "orientation"),
          "stagger_offset": as_int, "band_size": as_int},
     ),
-    "windmill": ({"height": as_int, "width": as_int, "blade_count": as_int}, {}),
+    "windmill": (
+        lambda **p: windmill(**p), {"height": as_int, "width": as_int, "blade_count": as_int}, {}
+    ),
     "separable": (
+        _separable,
         {"left_kind": check_kind, "left_order": as_int, "right_kind": check_kind,
          "right_order": as_int, "row": as_int, "col": as_int},
         {"binarize": _flag},
     ),
 }
-GENERATORS = tuple(GENERATOR_FIELDS)
-_GENERATOR = one_of(GENERATORS, "generator")
+_GENERATOR = one_of(tuple(GENERATORS), "generator")
 _RANGE = one_of(tuple(r.value for r in RangeTag), "range")
 
 
@@ -70,18 +80,11 @@ class ObjectSpec:
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return load_image(path, self.declared_range)
-        p = dict(self.params)
         # A generator is a pure function of its parameters, so whatever it
         # rejects is a fault of the object section.
         try:
-            if self.generator == "stripes":
-                return staggered_stripes(StripeSpec(**p))
-            if self.generator == "windmill":
-                return windmill(**p)
-            left = build_transform(p.pop("left_kind"), p.pop("left_order"))
-            right = build_transform(p.pop("right_kind"), p.pop("right_order"))
-            return separable_object(left, right, p.pop("row"), p.pop("col"), **p)
-        except (HybridGIError, IndexError) as exc:
+            return GENERATORS[self.generator][0](**self.params)
+        except (HybridGIError, IndexError, OverflowError, ValueError) as exc:
             raise ConfigError("object", str(exc)) from exc
 
 
@@ -130,7 +133,8 @@ def _parse_object(data, path: str) -> ObjectSpec:
         return ObjectSpec(None, {}, spec["path"], RangeTag(spec["range"]))
     generator = data.get("generator")
     # An unknown generator has no fields; the check of its name rejects it.
-    required, optional = GENERATOR_FIELDS[generator] if generator in GENERATORS else ({}, {})
+    # The name is any JSON value, so membership is a tuple test: a list won't hash.
+    required, optional = GENERATORS[generator][1:] if generator in tuple(GENERATORS) else ({}, {})
     params = fields(data, path, {"generator": _GENERATOR, **required}, optional)
     return ObjectSpec(params.pop("generator"), params, None, None)
 

@@ -177,12 +177,6 @@ def _field_path(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key  # a root's fields have bare names
 
 
-def require_field(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(_field_path(path, key), "required field is missing")
-    return mapping[key]
-
-
 def fields(data, path: str, required: dict, optional: dict) -> dict:
     """Each field of the JSON object ``data``, through its check(value, field_path).
 
@@ -192,7 +186,8 @@ def fields(data, path: str, required: dict, optional: dict) -> dict:
     """
     as_object(data, path)
     for key in required:
-        require_field(data, key, path)
+        if key not in data:
+            raise ConfigError(_field_path(path, key), "required field is missing")
     values = {key: check(data[key], _field_path(path, key))
               for key, check in {**required, **optional}.items() if key in data}
     for key in data:
@@ -214,14 +209,14 @@ def as_int(value, path: str) -> int:
 
 
 def as_number(value, path: str) -> float:
-    # json.loads accepts the NaN and Infinity literals; no field admits them.
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    # json.loads accepts the NaN and Infinity literals and integers beyond
+    # float range, where math.isfinite overflows; no field admits them.
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def as_file_name(value, path: str) -> str:

@@ -1,7 +1,7 @@
 """Reconstruction quality metrics and bucket-signal sparsity counting."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,7 +73,10 @@ def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     err = mse(reference, test, roi)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / err)
+    ratio = float(peak) * float(peak) / err
+    if ratio == math.inf:  # a subnormal mse or a huge peak: take the logs apart
+        return 20.0 * math.log10(peak) - 10.0 * math.log10(err)
+    return 10.0 * math.log10(ratio)
 
 
 def _window_sums(x: np.ndarray) -> np.ndarray:
@@ -110,6 +113,11 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
         )
     n = SSIM_WINDOW * SSIM_WINDOW
     c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    if float(c1) * float(c2) == math.inf:  # the denominator's least value overflows
+        raise ParameterError(
+            f"the SSIM window statistics overflow at peak {peak}: "
+            "the product c1 * c2 of its stabilizers is not finite"
+        )
     with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
         sum_a, sum_b = _window_sums(a), _window_sums(b)  # a plane at a time: less memory
         sum_aa, sum_bb, sum_ab = _window_sums(a * a), _window_sums(b * b), _window_sums(a * b)
@@ -164,13 +172,7 @@ class QualityReport:
     roi: Roi | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "psnr_db": self.psnr_db,
-            "ssim": self.ssim,
-            "mse": self.mse,
-            "significant_count": self.significant_count,
-            "roi": list(self.roi) if self.roi is not None else None,
-        }
+        return {**asdict(self), "roi": list(self.roi) if self.roi is not None else None}
 
 
 def quality_report(

@@ -7,7 +7,7 @@ Reconstructed values are not clipped to the object's declared range;
 clipping only happens at display export.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,25 +29,6 @@ class ReconstructionResult:
     image: SceneImage
     spec: HybridSpec | None
     residual_norm: float
-
-
-def _invert(
-    left: TransformMatrix,
-    right: TransformMatrix,
-    y,
-    spec: HybridSpec | None,
-    range_tag: RangeTag,
-) -> ReconstructionResult:
-    values = np.asarray(getattr(y, "values", y))
-    if values.shape != (left.kept_rows, right.kept_rows):
-        raise ShapeError(
-            f"bucket shape {values.shape} does not match kept rows "
-            f"{left.kept_rows}x{right.kept_rows}"
-        )
-    x = left.entries.conj().T @ values @ right.entries
-    residual = float(np.linalg.norm(values - forward(left, right, x)))
-    image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
-    return ReconstructionResult(image, spec, residual)
 
 
 def reconstruct_1d(a, y) -> np.ndarray:
@@ -74,8 +55,18 @@ def reconstruct_2d(
     Complex factors yield a real image (the real part); any complex
     residue shows up in residual_norm.
     """
+    left, right = as_factor(left), as_factor(right)
+    values = np.asarray(getattr(y, "values", y))
+    if values.shape != (left.kept_rows, right.kept_rows):
+        raise ShapeError(
+            f"bucket shape {values.shape} does not match kept rows "
+            f"{left.kept_rows}x{right.kept_rows}"
+        )
+    x = left.entries.conj().T @ values @ right.entries
+    residual = float(np.linalg.norm(values - forward(left, right, x)))
+    image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
     spec = y.spec if isinstance(y, BucketSignals) else None
-    return _invert(as_factor(left), as_factor(right), y, spec, range_tag)
+    return ReconstructionResult(image, spec, residual)
 
 
 # Sub-Nyquist recovery is the same inversion with truncated factors.
@@ -86,5 +77,4 @@ def reconstruct_chain(
     spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED
 ) -> ReconstructionResult:
     """Invert a chained forward model via the composed effective factors."""
-    left, right = compose_chain(spec)
-    return _invert(left, right, y, spec, range_tag)
+    return replace(reconstruct_2d(*compose_chain(spec), y, range_tag), spec=spec)

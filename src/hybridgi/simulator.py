@@ -10,7 +10,7 @@ so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
 stream. The module keeps no state: ``acquire`` streams one local Philox
 per acquisition, one block of draws per left row of buckets, and
-``project`` and ``measure_bucket`` draw the same values one call at a time.
+``project`` draws the same value one call at a time.
 
 ``acquire`` checks the factor shapes, the scene's range, that no factor
 is complex and that no pattern scale is zero once per acquisition. It never
@@ -20,8 +20,10 @@ with v the pattern over its scale, so a bucket takes one product-sum of the
 displayed pattern per scene half, and sum(h) is taken once. The public
 ``split_pattern``, ``normalize_pattern``, ``project`` and ``measure_bucket``
 check their inputs on every call and form the halves explicitly: they are
-the per-projection reference, which ``acquire`` matches to rounding. Both
-paths combine projections and draws in the same order (``_combine``).
+the per-projection reference, which ``acquire`` matches to rounding. A
+bucket of ``measure_bucket`` is the signed sum of its ``project`` calls,
+each with its own draw; ``acquire`` adds the same draws to its projections,
+and both paths sign and sum them in one order (``_combine``).
 """
 
 import itertools
@@ -154,16 +156,6 @@ def _noise_blocks(sigma: float, seed: int, start: int, count: int):
         yield sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
 
-def _noise_block(sigma: float, seed: int, start: int, count: int) -> np.ndarray:
-    """Noise draws ``start`` .. ``start + count - 1`` of ``seed``: one block."""
-    return next(_noise_blocks(sigma, seed, start, count))
-
-
-def _noise_draw(sigma: float, seed: int, index: int) -> float:
-    """Noise draw ``index`` of ``seed``: one draw of :func:`_noise_block`."""
-    return float(_noise_block(sigma, seed, index, 1)[0])
-
-
 def _draws(noise: NoiseModel, start: int, count: int):
     """Lists of the noise of ``count`` projections each, from ``start`` on; Nones at sigma = 0."""
     if noise.sigma == 0.0:
@@ -200,11 +192,6 @@ def _require_normalized(values) -> np.ndarray:
     return values
 
 
-def _require_same_shape(p: np.ndarray, x: np.ndarray) -> None:
-    if p.shape != x.shape:
-        raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
-
-
 def split_pattern(pattern_values) -> tuple[np.ndarray, np.ndarray]:
     """Split a signed pattern into its nonnegative projection pair.
 
@@ -236,12 +223,9 @@ def _dot(p: np.ndarray, x: np.ndarray) -> float:
     return float((p * x).sum())
 
 
-def _combine(plus: list, minus: list, draws) -> float:
-    # One bucket from its projections: plus[i] and minus[i] project the
-    # pattern's halves (1 +- v)/2 on the scene's i-th projected half, and
-    # ``draws`` holds the noise of those projections, plus first, in order
-    # (None at sigma = 0): (+,+) - (+,-) - (-,+) + (-,-), or (+) - (-).
-    terms = [t if d is None else t + d for t, d in zip(plus + minus, draws)]
+def _combine(terms: list) -> float:
+    # One bucket from its projections, the pattern's plus half first, each
+    # over the scene's projected halves: (+,+) - (+,-) - (-,+) + (-,-), or (+) - (-).
     if len(terms) == 4:
         return terms[0] - terms[1] - terms[2] + terms[3]
     return terms[0] - terms[1]
@@ -264,11 +248,12 @@ def project(
     index = _measurement_index(measurement_index, 1)
     p = _require_real(pattern_values, "pattern")
     x = _require_real(object_values, "object")
-    _require_same_shape(p, x)
+    if p.shape != x.shape:
+        raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    value = _dot(p, x)
-    return value if noise.sigma == 0.0 else value + _noise_draw(noise.sigma, noise.seed, index)
+    value, (draw,) = _dot(p, x), next(_draws(noise, index, 1))
+    return value if draw is None else value + draw
 
 
 def measure_bucket(
@@ -281,16 +266,14 @@ def measure_bucket(
     at noise indices 4*base_index + {0..3}. Reflectance scenes are already
     nonnegative and take two projections at 2*base_index + {0, 1}. With
     sigma = 0 the result equals the signed dot product sum(I * X). The
-    largest noise index must fit in 64 bits.
+    largest noise index must fit in 64 bits. The bucket is the signed sum
+    of its :func:`project` calls, the pattern's plus half first.
     """
     per = 4 if scene.range_tag is RangeTag.SIGNED else 2
     start = per * _measurement_index(base_index, per)
     scene.assert_in_range()
-    values = _require_normalized(pattern_values)
-    _require_same_shape(values, scene.values)
-    halves = _projected(scene)
-    plus, minus = ([_dot(p, h) for h in halves] for p in _split(values))
-    return _combine(plus, minus, next(_draws(noise, start, per)))
+    pairs = itertools.product(_split(_require_normalized(pattern_values)), _projected(scene))
+    return _combine([project(p, h, noise, start + j) for j, (p, h) in enumerate(pairs)])
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage):
@@ -343,7 +326,9 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
             diffs = [_dot(shown, h) / scale for h in halves]
             plus = [(s + d) / 2.0 for s, d in zip(sums, diffs)]
             minus = [(s - d) / 2.0 for s, d in zip(sums, diffs)]
-            buckets[m, n] = scale * _combine(plus, minus, row[per * n : per * n + per])
+            terms = [t if d is None else t + d
+                     for t, d in zip(plus + minus, row[per * n : per * n + per])]
+            buckets[m, n] = scale * _combine(terms)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

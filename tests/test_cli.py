@@ -216,6 +216,28 @@ class TestExitCodes:
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "where, command, code",
+        [("noise.sigma", "run", 1), ("metrics.peak", "run", 1), ("sidecar", "reconstruct", 2)],
+    )
+    def test_integer_beyond_float_range_is_rejected(self, tmp_path, capsys, where, command, code):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        if where != "sidecar":
+            section, key = where.split(".")
+            config[section][key] = 10**400
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        if where == "sidecar":
+            assert main(["acquire", "--config", str(config_path), "--out", str(out)]) == 0
+            sidecar = out / "buckets.csv.json"
+            meta = json.loads(sidecar.read_text())
+            sidecar.write_text(json.dumps(dict(meta, noise_sigma=10**400)))
+            capsys.readouterr()
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("buckets.csv.json" if where == "sidecar" else where) in err
+        assert "expected a finite number" in err and "Traceback" not in err
+
     def test_numeric_error_exit(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         # Orders do not match the object dimensions.
@@ -435,9 +457,22 @@ class TestExitCodes:
             (dict(SEPARABLE, binarize="yes"), "object.binarize"),
             (dict(BASE_CONFIG["object"], blade=4), "object.blade"),
             ({"path": "object.csv", "range": "signed", "scale": 2}, "object.scale"),
+            # Integers beyond float range, or beyond a 64-bit array's.
+            (dict(BASE_CONFIG["object"], blade_count=10**400), "too large"),
+            (dict(BASE_CONFIG["object"], height=10**400), "too large"),
+            ({"generator": "stripes", "height": 32, "width": 64, "stripe_period": 4,
+              "stagger_offset": 2**63}, "too large"),
+            ({"generator": "stripes", "height": 32, "width": 64, "stripe_period": 4,
+              "band_size": 2**63}, "too large"),
+            ({"generator": "stripes", "height": 10**400, "width": 64, "stripe_period": 4},
+             "size"),
+            # The generator name is JSON input: any value, hashable or not.
+            (dict(BASE_CONFIG["object"], generator=["windmill"]), "unknown generator"),
+            (dict(BASE_CONFIG["object"], generator={"a": 1}), "unknown generator"),
         ],
         ids=["row-out-of-range", "one-blade", "odd-period", "string-binarize", "unknown-key",
-             "unknown-path-form-key"],
+             "unknown-path-form-key", "huge-blade-count", "huge-height", "huge-stagger-offset",
+             "huge-band-size", "huge-stripes-height", "list-generator", "object-generator"],
     )
     def test_bad_generator_parameters_are_config_errors(self, tmp_path, capsys, obj, message):
         config_path = write_config(tmp_path, dict(BASE_CONFIG, object=obj))

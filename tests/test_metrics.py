@@ -199,6 +199,35 @@ class TestLargeValues:
         with pytest.raises(ParameterError, match="SSIM window statistics"):
             ssim(a, a[::-1], 1e154)
 
+    @pytest.mark.parametrize(
+        "a, b, peak",
+        [(np.zeros((2, 2)), np.full((2, 2), 1e-160), 1.0),  # mse is subnormal
+         (np.linspace(0.0, 1.0, 64).reshape(8, 8), np.linspace(1.0, 0.0, 64).reshape(8, 8),
+          1e154)],
+        ids=["subnormal-mse", "huge-peak"],
+    )
+    def test_psnr_is_finite_when_only_its_quotient_overflows(self, a, b, peak):
+        err = mse(a, b)
+        assert err > 0.0 and peak * peak / err == math.inf
+        db = psnr(a, b, peak)
+        assert db == pytest.approx(20.0 * math.log10(peak) - 10.0 * math.log10(err))
+        assert math.isfinite(db)
+
+    def test_psnr_keeps_its_bits_when_its_quotient_is_finite(self):
+        a = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        for peak, shift in ((1.0, 1e-3), (1e150, 2.0), (2.0, 1e-150)):
+            err = mse(a, a + shift)
+            assert psnr(a, a + shift, peak) == 10.0 * math.log10(peak * peak / err)
+
+    def test_ssim_names_peak_only_when_peak_overflows(self):
+        a = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        with pytest.raises(ParameterError, match="SSIM window statistics overflow at peak"):
+            ssim(a, a[::-1], 1e154)
+        huge = 1e160 * (1.0 + np.random.default_rng(13).random((16, 16)))
+        with pytest.raises(ParameterError, match="SSIM window statistics") as caught:
+            ssim(huge, np.zeros((16, 16)), 1.0)
+        assert "peak" not in str(caught.value)
+
     @pytest.mark.parametrize("scale", [1e151, 1e160, 1e200])
     def test_overflowing_window_statistics_are_rejected(self, scale):
         rng = np.random.default_rng(10)

@@ -46,7 +46,18 @@ from hybridgi import (
     vec_rows,
 )
 from hybridgi.measurement import forward
-from hybridgi.simulator import _noise_block, _noise_blocks, _noise_draw
+from hybridgi.simulator import _noise_blocks
+
+
+def _noise_block(sigma: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Noise draws ``start`` .. ``start + count - 1`` of ``seed``: one block."""
+    return next(_noise_blocks(sigma, seed, start, count))
+
+
+def _noise_draw(sigma: float, seed: int, index: int) -> float:
+    """Noise draw ``index`` of ``seed``: the one draw of a one-draw block."""
+    return float(_noise_block(sigma, seed, index, 1)[0])
+
 
 REAL_KINDS = ("hadamard", "dct", "haar", "identity")
 ALL_KINDS = REAL_KINDS + ("dft",)

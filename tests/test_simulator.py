@@ -32,7 +32,7 @@ from hybridgi import (
     split_pattern,
 )
 from hybridgi.measurement import as_factor, forward
-from hybridgi.simulator import _noise_block
+from hybridgi.simulator import _noise_blocks
 
 KINDS = ("hadamard", "dct", "haar")
 
@@ -350,7 +350,7 @@ class TestNoiseStatistics:
 
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_draws_are_standard_normal_and_uncorrelated(self, seed):
-        z = _noise_block(1.0, seed, 0, 200_000)
+        z = next(_noise_blocks(1.0, seed, 0, 200_000))
         n = z.size
         assert abs(z.mean()) <= 5 / math.sqrt(n)
         assert abs(z.std() - 1.0) <= 5 / math.sqrt(2 * n)
