@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import fileio, scenes
@@ -43,11 +44,6 @@ def _read_config_json(args) -> tuple[object, Path]:
         raise ConfigError(str(config_path), f"invalid JSON: {exc}") from exc
 
 
-def _load_config(args) -> tuple[ExperimentConfig, Path]:
-    data, base_dir = _read_config_json(args)
-    return parse_config(with_overrides(data, sigma=args.sigma, seed=args.seed)), base_dir
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -56,8 +52,9 @@ def _out_dir(args) -> Path:
 
 def _load_stage(args) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
     """A stage command's config, the object it describes, and its output paths."""
-    config, base_dir = _load_config(args)
-    scene = config.object_spec.build(base_dir)
+    data, base_dir = _read_config_json(args)
+    config = parse_config(with_overrides(data, sigma=args.sigma, seed=args.seed))
+    scene = config.object.build(base_dir)
     return config, scene, config.outputs.resolved(_out_dir(args))
 
 
@@ -76,11 +73,7 @@ def _summary_line(config: ExperimentConfig, report) -> str:
 
 
 def _score(config: ExperimentConfig, scene: SceneImage, recon, buckets):
-    options = config.metric_options
-    return quality_report(
-        scene, recon, peak=options.peak, roi=options.roi, buckets=buckets,
-        rel_tol=options.rel_tol,
-    )
+    return quality_report(scene, recon, buckets=buckets, **asdict(config.metrics))
 
 
 def _write_report(config: ExperimentConfig, path, report, **extra) -> None:
@@ -103,15 +96,13 @@ def _write_reconstruction(image: SceneImage, path) -> None:
     fileio.write_csv_matrix(image_path.with_suffix(".csv"), image.values)
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Path, base_dir: Path,
-                   write_files: bool = True):
-    """Full pipeline: object -> acquire -> reconstruct -> score -> export."""
-    scene = config.object_spec.build(base_dir)
+def run_experiment(config: ExperimentConfig, scene: SceneImage,
+                   paths: OutputPaths | None = None):
+    """Full pipeline: acquire -> reconstruct -> score, exported to ``paths`` if given."""
     buckets = _acquire(config, scene)
     result = reconstruct_chain(config.hybrid, buckets, range_tag=scene.range_tag)
     report = _score(config, scene, result.image, buckets)
-    if write_files:
-        paths = config.outputs.resolved(out_dir)
+    if paths is not None:
         fileio.write_buckets(paths.buckets, buckets)
         _write_reconstruction(result.image, paths.image)
         _write_report(config, paths.report, report, residual_norm=result.residual_norm)
@@ -119,9 +110,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, base_dir: Path,
 
 
 def cmd_run(args) -> int:
-    config, base_dir = _load_config(args)
-    out_dir = _out_dir(args)
-    _, _, _, report = run_experiment(config, out_dir, base_dir)
+    config, scene, paths = _load_stage(args)
+    _, _, _, report = run_experiment(config, scene, paths)
     if not args.quiet:
         print(_summary_line(config, report))
     return 0
@@ -201,7 +191,7 @@ def cmd_sweep(args) -> int:
                 sigma=config.noise.sigma,
                 seed=config.noise.seed,
             )
-            _, _, _, report = run_experiment(config, out_dir, base_dir, write_files=False)
+            _, _, _, report = run_experiment(config, config.object.build(base_dir))
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",

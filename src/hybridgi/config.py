@@ -112,10 +112,12 @@ class OutputPaths:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    object_spec: ObjectSpec
+    """A parsed config: one field per section, named by its schema key."""
+
+    object: ObjectSpec
     hybrid: HybridSpec
-    noise: NoiseModel
-    metric_options: MetricOptions = field(default_factory=MetricOptions)
+    noise: NoiseModel = field(default_factory=NoiseModel)
+    metrics: MetricOptions = field(default_factory=MetricOptions)
     outputs: OutputPaths = field(default_factory=OutputPaths)
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -179,12 +181,7 @@ SECTIONS = {
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict and resolve it into an ExperimentConfig."""
     required = {"object": _parse_object, "hybrid": HybridSpec.from_dict}
-    sections = fields(data, "", required, SECTIONS)
-    config = ExperimentConfig(
-        sections["object"], sections["hybrid"], sections.get("noise", NoiseModel()),
-        sections.get("metrics", MetricOptions()), sections.get("outputs", OutputPaths()),
-        raw=data,
-    )
+    config = ExperimentConfig(**fields(data, "", required, SECTIONS), raw=data)
     if config.uses_dft and config.noise.sigma != 0.0:
         raise ConfigError(
             "noise.sigma", "dft factors require sigma = 0 (ideal acquisition only)"

@@ -12,6 +12,7 @@ with right row n; image column l = i * N + j addresses pixel (i, j).
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def truncate(source: TransformMatrix, kept_rows: int) -> TransformMatrix:
     """Keep the first ``kept_rows`` rows of ``source``, as a read-only view."""
     if not 1 <= kept_rows <= source.kept_rows:
         raise ShapeError(f"kept_rows must be in [1, {source.kept_rows}], got {kept_rows}")
-    return TransformMatrix(source.kind, source.order, source.entries[:kept_rows])
+    return TransformMatrix(source.kind, source.entries[:kept_rows])
 
 
 def as_factor(t) -> TransformMatrix:
@@ -307,7 +308,7 @@ def kron(left, right) -> TransformMatrix:
             f"kron would materialize {n_entries} entries (cap {KRON_ENTRY_CAP})"
         )
     entries = np.kron(left.entries, right.entries.conj())
-    return TransformMatrix(TransformKind.COMPOSITE, left.order * right.order, entries)
+    return TransformMatrix(TransformKind.COMPOSITE, entries)
 
 
 def pattern(left, right, m: int, n: int) -> np.ndarray:
@@ -334,16 +335,11 @@ def compose_chain(spec: HybridSpec) -> tuple[TransformMatrix, TransformMatrix]:
     """
 
     def side(chain: tuple[ChainEntry, ...]) -> TransformMatrix:
-        factors = [build_transform(e.kind, e.order) for e in chain]
-        if len(factors) == 1:
-            return truncate(factors[0], chain[-1].kept_rows)
-        product = factors[0].entries
-        for factor in factors[1:]:
-            product = factor.entries @ product
-        composite = TransformMatrix(
-            TransformKind.COMPOSITE, chain[0].order, np.asarray(product)
-        )
-        return truncate(composite, chain[-1].kept_rows)
+        first, *later = (build_transform(e.kind, e.order) for e in chain)
+        if later:
+            product = reduce(lambda p, f: f.entries @ p, later, first.entries)
+            first = TransformMatrix(TransformKind.COMPOSITE, product)
+        return truncate(first, chain[-1].kept_rows)
 
     return side(spec.left_chain), side(spec.right_chain)
 

@@ -29,6 +29,8 @@ def _require_peak(peak: float) -> None:
     _require_finite_positive("peak", peak)
     if float(peak) * float(peak) == math.inf:
         raise ParameterError(f"peak must have a finite square, got {peak}")
+    if (0.01 * float(peak)) ** 2 == 0.0:  # a flat SSIM window would divide 0 by 0
+        raise ParameterError(f"peak must have a nonzero SSIM stabilizer c1, got {peak}")
 
 
 def _as_array(x) -> np.ndarray:
@@ -74,7 +76,7 @@ def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     if err == 0.0:
         return math.inf
     ratio = float(peak) * float(peak) / err
-    if ratio == math.inf:  # a subnormal mse or a huge peak: take the logs apart
+    if not 0.0 < ratio < math.inf:  # an extreme mse or peak: take the logs apart
         return 20.0 * math.log10(peak) - 10.0 * math.log10(err)
     return 10.0 * math.log10(ratio)
 
@@ -127,6 +129,8 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
         cov = (sum_ab - sum_a * mu_b) / (n - 1)
         denominator = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
         per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / denominator
+    if not denominator.all():  # a flat window of zeros has the denominator c1 * c2
+        raise ParameterError(f"the SSIM stabilizers' product c1 * c2 underflows at peak {peak}")
     if not (np.isfinite(denominator).all() and np.isfinite(per_window).all()):
         raise ParameterError("the SSIM window statistics of the compared images overflow")
     return float(per_window.mean())
@@ -144,7 +148,7 @@ def significant(y, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     peak = values.max()  # NaN if any magnitude is NaN, else inf if any is inf
     if not peak < math.inf:
         raise ParameterError("bucket values must be finite, got a NaN or infinite value")
-    return values, values > rel_tol * peak
+    return values, values > float(rel_tol) * float(peak)  # Python floats: inf, no warning
 
 
 def count_significant(y, rel_tol: float) -> tuple[int, list[tuple[int, int]]]:

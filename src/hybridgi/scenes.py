@@ -135,27 +135,19 @@ def windmill(height: int, width: int, blade_count: int) -> SceneImage:
 
 
 def single_peak_stripe_search(
-    height: int,
-    width: int,
-    sets: list[tuple[TransformKind | str, TransformKind | str]],
-    periods: list[int] | None = None,
-    band_sizes: list[int] | None = None,
-    offsets: list[int] | None = None,
-    rel_tol: float = SIGNIFICANCE_REL_TOL,
+    height: int, width: int, sets: list[tuple[TransformKind | str, TransformKind | str]]
 ) -> list[StripeSpec]:
     """Sweep stripe parameters for configs compressing to a single bucket.
 
     Returns every candidate StripeSpec whose noiseless bucket matrix has
-    exactly one significant entry for all of the given (left, right)
-    transform kind pairs, in deterministic sweep order. The forward model
-    is evaluated densely, which is equivalent to noiseless acquisition.
+    exactly one significant entry (at SIGNIFICANCE_REL_TOL) for all of the
+    given (left, right) transform kind pairs, in deterministic sweep order.
+    The forward model is evaluated densely, which is equivalent to
+    noiseless acquisition.
     """
-    if periods is None:
-        periods = [p for p in (2, 4, 8, 16, 32, 64) if p <= max(height, width)]
-    if band_sizes is None:
-        band_sizes = [b for b in (1, 2, 4, 8, 16, 32) if b <= max(height, width)]
-    if offsets is None:
-        offsets = sorted({0} | {p // 2 for p in periods} | {p // 4 for p in periods})
+    periods = [p for p in (2, 4, 8, 16, 32, 64) if p <= max(height, width)]
+    band_sizes = [b for b in (1, 2, 4, 8, 16, 32) if b <= max(height, width)]
+    offsets = sorted({0} | {p // 2 for p in periods} | {p // 4 for p in periods})
 
     pairs = [compose_chain(HybridSpec.pair(left, height, right, width))
              for left, right in sets]
@@ -171,7 +163,7 @@ def single_peak_stripe_search(
                     spec = StripeSpec(height, width, period, orientation, offset, band)
                     x = staggered_stripes(spec).values
                     if all(
-                        np.count_nonzero(significant(forward(left, right, x), rel_tol)[1]) == 1
+                        significant(forward(left, right, x), SIGNIFICANCE_REL_TOL)[1].sum() == 1
                         for left, right in pairs
                     ):
                         found.append(spec)

@@ -47,23 +47,25 @@ class TransformMatrix:
     ----------
     kind : TransformKind
         Which construction produced the matrix.
-    order : int
-        Side length of the whole matrix (order x order).
     entries : np.ndarray
         The kept rows, kept_rows x order, dense float64 (complex128 for
         DFT), marked read-only.
+    order : int
+        Side length of the whole matrix (order x order), derived from the
+        entries: entries.shape[1].
     kept_rows : int
-        Number of kept rows, entries.shape[0].
+        Number of kept rows, derived from the entries: entries.shape[0].
     """
 
     kind: TransformKind
-    order: int
     entries: np.ndarray
+    order: int = field(init=False)
     kept_rows: int = field(init=False)  # a field: pattern reads it per bucket
 
     def __post_init__(self):
         self.entries.setflags(write=False)
         object.__setattr__(self, "kept_rows", self.entries.shape[0])
+        object.__setattr__(self, "order", self.entries.shape[1])
 
     @property
     def is_complex(self) -> bool:
@@ -101,7 +103,7 @@ def build_hadamard(n: int) -> TransformMatrix:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for _ in range(n):
         h = np.block([[h, h], [h, -h]]) * inv_sqrt2
-    return TransformMatrix(TransformKind.HADAMARD, 1 << n, h)
+    return TransformMatrix(TransformKind.HADAMARD, h)
 
 
 def build_dct(order: int) -> TransformMatrix:
@@ -116,7 +118,7 @@ def build_dct(order: int) -> TransformMatrix:
     coeff = np.full(order, math.sqrt(2.0 / order))
     coeff[0] = math.sqrt(1.0 / order)
     entries = coeff[:, None] * np.cos(np.outer(r, r + 0.5) * (np.pi / order))
-    return TransformMatrix(TransformKind.DCT, order, entries)
+    return TransformMatrix(TransformKind.DCT, entries)
 
 
 def haar_raw_rows(n: int) -> np.ndarray:
@@ -152,7 +154,7 @@ def build_haar(n: int) -> TransformMatrix:
     """
     rows = haar_raw_rows(n)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return TransformMatrix(TransformKind.HAAR, 1 << n, rows / norms)
+    return TransformMatrix(TransformKind.HAAR, rows / norms)
 
 
 def build_dft(order: int) -> TransformMatrix:
@@ -164,13 +166,13 @@ def build_dft(order: int) -> TransformMatrix:
     _check_order(order)
     idx = np.arange(order)
     entries = np.exp((2j * np.pi / order) * np.outer(idx, idx)) / math.sqrt(order)
-    return TransformMatrix(TransformKind.DFT, order, entries)
+    return TransformMatrix(TransformKind.DFT, entries)
 
 
 def build_identity(order: int) -> TransformMatrix:
     """Identity matrix, used to pad unequal-length transform chains."""
     _check_order(order)
-    return TransformMatrix(TransformKind.IDENTITY, order, np.eye(order))
+    return TransformMatrix(TransformKind.IDENTITY, np.eye(order))
 
 
 def build_transform(kind: TransformKind | str, order: int) -> TransformMatrix:
@@ -200,17 +202,12 @@ def build_transform(kind: TransformKind | str, order: int) -> TransformMatrix:
     raise InvalidOrderError(f"cannot build a transform of kind {kind.value!r}")
 
 
-def _as_entries(t) -> np.ndarray:
-    entries = getattr(t, "entries", t)
-    return np.asarray(entries)
-
-
 def orthonormality_defect(t) -> float:
     """Max elementwise |T @ T^H - I| over the rows of ``t``.
 
     Accepts a TransformMatrix (its kept rows) or a plain 2-D array. Zero
     (to rounding) means the rows form an orthonormal set.
     """
-    entries = _as_entries(t)
+    entries = np.asarray(getattr(t, "entries", t))
     gram = entries @ entries.conj().T
     return float(np.max(np.abs(gram - np.eye(entries.shape[0]))))

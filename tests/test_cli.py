@@ -9,7 +9,7 @@ import pytest
 
 from hybridgi import ConfigError, NoiseModel, RangeTag, acquire, windmill
 from hybridgi import fileio
-from hybridgi.cli import main
+from hybridgi.cli import main, run_experiment
 from hybridgi.config import parse_config, resolve_kept_rows
 
 BASE_CONFIG = {
@@ -111,7 +111,7 @@ class TestConfigParsing:
                 },
             }
         )
-        scene = config.object_spec.build()
+        scene = config.object.build()
         assert scene.values.shape == (4, 4)
 
 
@@ -160,6 +160,24 @@ class TestRunCommand:
         x = windmill(32, 64, 4).values
         projected = left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         assert np.max(np.abs(recon - projected)) < 1e-10
+
+    def test_run_experiment_writes_only_to_given_paths(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        cli_out = tmp_path / "cli"
+        assert main(["run", "--config", str(config_path), "--out", str(cli_out), "--quiet"]) == 0
+        config = parse_config(BASE_CONFIG)
+        scene = config.object.build()
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        run_experiment(config, scene)
+        assert sorted(tmp_path.rglob("*")) == before
+        run_experiment(config, scene, config.outputs.resolved(work))
+        names = sorted(path.name for path in cli_out.iterdir())
+        assert sorted(path.name for path in work.iterdir()) == names
+        for name in names:
+            assert (work / name).read_bytes() == (cli_out / name).read_bytes(), name
 
     def test_exact_recovery_report_is_strict_json(self, tmp_path, capsys):
         def reject(constant):
@@ -279,6 +297,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "peak must have a finite square" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "peak, message",
+        [(1e-320, "peak must have a nonzero SSIM stabilizer"),
+         (1e-160, "peak must have a nonzero SSIM stabilizer"),
+         (1e-100, "c1 * c2 underflows at peak 1e-100")],
+    )
+    def test_peak_with_underflowing_stabilizers_is_numeric_error(
+        self, tmp_path, capsys, peak, message
+    ):
+        # An exact identity round trip keeps the windmill's flat zero windows.
+        exact = dict(BASE_CONFIG, hybrid={"left": [{"kind": "identity", "order": 32}],
+                                          "right": [{"kind": "identity", "order": 64}]},
+                     noise={"sigma": 0.0, "seed": 0}, metrics={"peak": peak})
+        config_path = write_config(tmp_path, exact)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_huge_rel_tol_runs_clean(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "stripes_compression.json").read_text())
+        config["metrics"]["rel_tol"] = 1e308
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / config["outputs"]["report"]).read_text())
+        assert report["quality"]["significant_count"] == 0
 
     @pytest.mark.parametrize(
         "edit",

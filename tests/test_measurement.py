@@ -15,8 +15,10 @@ from hybridgi import (
     ShapeError,
     TransformKind,
     build_dct,
+    build_dft,
     build_hadamard,
     build_haar,
+    build_identity,
     build_transform,
     compose_chain,
     footprint_report,
@@ -229,6 +231,34 @@ class TestComposeChain:
     def test_empty_chain_rejected(self):
         with pytest.raises(ChainCompositionError):
             HybridSpec((), (ChainEntry("dct", 8),))
+
+
+CHAINED = HybridSpec(
+    (ChainEntry("hadamard", 8), ChainEntry("dct", 8, kept_rows=5)),
+    (ChainEntry("haar", 4, kept_rows=3),),
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_hadamard(3),
+        lambda: build_dct(5),
+        lambda: build_haar(2),
+        lambda: build_dft(3),
+        lambda: build_identity(4),
+        lambda: truncate(build_dct(6), 2),
+        lambda: kron(truncate(build_hadamard(2), 3), build_dft(3)),
+        lambda: compose_chain(CHAINED)[0],
+        lambda: compose_chain(CHAINED)[1],
+    ],
+    ids=["hadamard", "dct", "haar", "dft", "identity", "truncate", "kron",
+         "compose-chain-product", "compose-chain-single"],
+)
+def test_order_is_the_width_of_the_entries(make):
+    factor = make()
+    assert factor.order == factor.entries.shape[1]
+    assert factor.kept_rows == factor.entries.shape[0]
 
 
 class TestTruncatedTransform:

@@ -213,6 +213,34 @@ class TestLargeValues:
         assert db == pytest.approx(20.0 * math.log10(peak) - 10.0 * math.log10(err))
         assert math.isfinite(db)
 
+    def test_psnr_is_finite_when_its_quotient_underflows(self):
+        a, b, peak = np.zeros((8, 8)), np.full((8, 8), 1e15), 1e-150
+        err = mse(a, b)
+        assert peak * peak / err == 0.0
+        db = psnr(a, b, peak)
+        assert db == pytest.approx(20.0 * math.log10(peak) - 10.0 * math.log10(err))
+        assert math.isfinite(db)
+
+    @pytest.mark.parametrize("peak", [1e-160, 1e-320, np.float64(1e-200)])
+    @pytest.mark.parametrize(
+        "metric", [psnr, ssim, quality_report], ids=["psnr", "ssim", "quality_report"]
+    )
+    def test_peak_whose_ssim_stabilizer_underflows_is_rejected(self, peak, metric):
+        assert (0.01 * peak) ** 2 == 0.0
+        a = np.zeros((8, 8))  # flat windows: c1 = 0 would make SSIM divide 0 by 0
+        with pytest.raises(ParameterError, match="peak must have a nonzero SSIM stabilizer"):
+            metric(a, a + 0.5, peak)
+
+    def test_ssim_names_peak_when_its_stabilizers_product_underflows(self):
+        # c1 passes the peak check, but c1 * c2, a flat zero window's
+        # denominator, is 0: the window would divide 0 by 0.
+        a = np.zeros((8, 8))
+        with pytest.raises(ParameterError, match="c1 \\* c2 underflows at peak 1e-150"):
+            ssim(a, a, 1e-150)
+        assert psnr(a, a + 1.0, 1e-150) == pytest.approx(-3000.0)
+        ramp = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        assert ssim(ramp, ramp, 1e-150) == 1.0
+
     def test_psnr_keeps_its_bits_when_its_quotient_is_finite(self):
         a = np.linspace(0.0, 1.0, 64).reshape(8, 8)
         for peak, shift in ((1.0, 1e-3), (1e150, 2.0), (2.0, 1e-150)):
@@ -271,6 +299,12 @@ class TestCountSignificant:
         count, positions = count_significant(y, 0.01)
         assert count == 3
         assert positions == [(0, 1), (1, 0), (0, 0)]
+
+    def test_huge_rel_tol_counts_nothing_without_a_warning(self):
+        # rel_tol * peak overflows to inf, above every finite magnitude.
+        y = np.full((2, 2), 10.0)
+        assert count_significant(y, 1e308) == (0, [])
+        assert not significant(y, 1e308)[1].any()
 
     def test_rel_tol_validation(self):
         with pytest.raises(ParameterError):

@@ -321,7 +321,7 @@ class TestAcquire:
         left[3] = left_row
         right = np.full((2, 2), 0.5)
         right[1] = right_row
-        factors = [TransformMatrix(TransformKind.COMPOSITE, len(e), e) for e in (left, right)]
+        factors = [TransformMatrix(TransformKind.COMPOSITE, e) for e in (left, right)]
         composed = tuple(map(as_factor, factors))
         monkeypatch.setattr(simulator, "compose_chain", lambda spec: composed)
         calls = []
