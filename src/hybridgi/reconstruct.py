@@ -21,9 +21,10 @@ from .transforms import TransformMatrix
 class ReconstructionResult:
     """Recovered image plus a forward-model residual diagnostic.
 
-    residual_norm is the Frobenius norm of Y - L @ X' @ R^H over the kept
-    rows, so it stays well-defined under truncation; at sigma = 0 and full
-    sampling it is zero to rounding.
+    residual_norm is ||Y - L @ X' @ R^H||_F over the kept rows, X' the
+    returned real image. For real factors L X' R^H = (L L^T) Y (R R^T), so
+    it is about the orthonormality defect times ||Y|| at any sampling or
+    noise; for complex ones it adds what the dropped imaginary part carried.
     """
 
     image: SceneImage
@@ -63,8 +64,8 @@ def reconstruct_2d(
             f"{left.kept_rows}x{right.kept_rows}"
         )
     x = left.entries.conj().T @ values @ right.entries
-    residual = float(np.linalg.norm(values - forward(left, right, x)))
     image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
+    residual = float(np.linalg.norm(values - forward(left, right, image.values)))
     spec = y.spec if isinstance(y, BucketSignals) else None
     return ReconstructionResult(image, spec, residual)
 

@@ -14,16 +14,16 @@ per acquisition, one block of draws per left row of buckets, and
 
 ``acquire`` checks the factor shapes, the scene's range, that no factor
 is complex and that no pattern scale is zero once per acquisition. It never
-forms a pattern's halves: for each projected scene half h (the scene, or
-its own halves when signed), sum((1 +- v)/2 * h) = (sum(h) +- sum(v * h))/2
-with v the pattern over its scale, so a bucket takes one product-sum of the
-displayed pattern per scene half, and sum(h) is taken once. The public
-``split_pattern``, ``normalize_pattern``, ``project`` and ``measure_bucket``
-check their inputs on every call and form the halves explicitly: they are
-the per-projection reference, which ``acquire`` matches to rounding. A
-bucket of ``measure_bucket`` is the signed sum of its ``project`` calls,
-each with its own draw; ``acquire`` adds the same draws to its projections,
-and both paths sign and sum them in one order (``_combine``).
+forms a pattern's halves: a half projects on a scene half h (the scene, or
+its own halves when signed) as (sum(h) +- sum(v * h))/2, v the pattern over
+its scale. So per bucket it forms one ``pattern`` and one product-sum per
+scene half; per left row, array operations take the scales, the halves'
+projections, one noise block and the signing, in the per-bucket order, so
+bit for bit. The public ``split_pattern``, ``normalize_pattern``,
+``project`` and ``measure_bucket`` form the halves explicitly and check
+their inputs on every call: they are the per-projection reference, which
+``acquire`` matches to rounding, signing and summing the same draws in
+one order (``_combine``).
 """
 
 import itertools
@@ -156,11 +156,9 @@ def _noise_blocks(sigma: float, seed: int, start: int, count: int):
         yield sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
 
-def _draws(noise: NoiseModel, start: int, count: int):
-    """Lists of the noise of ``count`` projections each, from ``start`` on; Nones at sigma = 0."""
-    if noise.sigma == 0.0:
-        return itertools.repeat([None] * count)
-    return (block.tolist() for block in _noise_blocks(noise.sigma, noise.seed, start, count))
+def _require_finite(values, sigma: float):
+    if not np.isfinite(values).all():  # the only unbounded term is the noise
+        raise ParameterError(f"sigma {sigma} is too large: the noisy projections overflow")
 
 
 def _measurement_index(index, projections: int) -> int:
@@ -219,12 +217,8 @@ def normalize_pattern(pattern_values) -> tuple[np.ndarray, float]:
     return values / scale, scale
 
 
-def _dot(p: np.ndarray, x: np.ndarray) -> float:
-    return float((p * x).sum())
-
-
-def _combine(terms: list) -> float:
-    # One bucket from its projections, the pattern's plus half first, each
+def _combine(terms):
+    # Buckets from their projections, the pattern's plus half first, each
     # over the scene's projected halves: (+,+) - (+,-) - (-,+) + (-,-), or (+) - (-).
     if len(terms) == 4:
         return terms[0] - terms[1] - terms[2] + terms[3]
@@ -236,9 +230,7 @@ def _projected(scene: SceneImage) -> tuple:
     return _split(scene.values) if scene.range_tag is RangeTag.SIGNED else (scene.values,)
 
 
-def project(
-    pattern_values, object_values, noise: NoiseModel, measurement_index: int
-) -> float:
+def project(pattern_values, object_values, noise: NoiseModel, measurement_index: int) -> float:
     """One physical projection: sum of pattern * object plus a noise draw.
 
     Both inputs must be nonnegative (they are the split halves). The noise
@@ -252,8 +244,12 @@ def project(
         raise ShapeError(f"pattern shape {p.shape} != object shape {x.shape}")
     if p.min() < 0.0 or x.min() < 0.0:
         raise PatternRangeError("project() requires nonnegative pattern and object")
-    value, (draw,) = _dot(p, x), next(_draws(noise, index, 1))
-    return value if draw is None else value + draw
+    value = float((p * x).sum())
+    if noise.sigma > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value += float(next(_noise_blocks(noise.sigma, noise.seed, index, 1))[0])
+        _require_finite(value, noise.sigma)
+    return value
 
 
 def measure_bucket(
@@ -301,34 +297,37 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     sigma = 0 the result equals L @ X @ R^H exactly (to rounding), with L
     and R the effective truncated factors.
 
-    A pattern's max-abs is the product of its rows' max-abs,
-    max|L_m| * max|R_n|: rounding is monotone, so that product is bit for
-    bit the max over the outer product. Row m's projections start at
-    per * m * rows_r, so each row's noise is the next block of one stream.
+    Per bucket the loop forms the pattern and its product-sum with each
+    scene half. Per left row m, array operations take the scales
+    max|L_m| * max|R_n| (bit for bit the max-abs: rounding is monotone),
+    the projections, the row's noise block (the next of one stream) and the
+    signing. A sigma whose noise overflows a bucket raises ParameterError.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
-        raise UnsupportedPatternError(
-            "complex transform factors cannot be physically projected"
-        )
-    peaks_l, peaks_r = (np.abs(f.entries).max(axis=1).tolist() for f in (left, right))
-    if min(peaks_l) * min(peaks_r) == 0.0:  # the least scale; rounding is monotone
+        raise UnsupportedPatternError("complex transform factors cannot be physically projected")
+    peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
+    if peaks_l.min() * peaks_r.min() == 0.0:  # the least scale; rounding is monotone
         raise DegeneratePatternError("all-zero pattern cannot be normalized")
     halves = _projected(scene)
-    sums = [float(h.sum()) for h in halves]
-    per = 2 * len(halves)  # projections per bucket
+    sums = np.array([[h.sum()] for h in halves])
     rows_r = right.kept_rows
+    dots = np.empty((len(halves), rows_r))
     buckets = np.empty((left.kept_rows, rows_r))
-    for m, (peak_l, row) in enumerate(zip(peaks_l, _draws(noise, 0, per * rows_r))):
-        for n, peak_r in enumerate(peaks_r):
-            scale = peak_l * peak_r
-            shown = pattern(left, right, m, n)
-            diffs = [_dot(shown, h) / scale for h in halves]
-            plus = [(s + d) / 2.0 for s, d in zip(sums, diffs)]
-            minus = [(s - d) / 2.0 for s, d in zip(sums, diffs)]
-            terms = [t if d is None else t + d
-                     for t, d in zip(plus + minus, row[per * n : per * n + per])]
-            buckets[m, n] = scale * _combine(terms)
+    blocks = _noise_blocks(noise.sigma, noise.seed, 0, 2 * len(halves) * rows_r)  # one per row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, peak_l in enumerate(peaks_l.tolist()):
+            for n in range(rows_r):
+                shown = pattern(left, right, m, n)
+                for k, h in enumerate(halves):
+                    dots[k, n] = (shown * h).sum()
+            scale = peak_l * peaks_r
+            diffs = dots / scale
+            terms = np.concatenate([(sums + diffs) / 2.0, (sums - diffs) / 2.0])
+            if noise.sigma > 0.0:
+                terms += next(blocks).reshape(rows_r, -1).T  # a bucket's draws per column
+            buckets[m] = scale * _combine(terms)
+    _require_finite(buckets, noise.sigma)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

@@ -326,6 +326,22 @@ class TestExitCodes:
         report = json.loads((tmp_path / config["outputs"]["report"]).read_text())
         assert report["quality"]["significant_count"] == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["stripes_compression.json", "chained_transforms.json"])
+    def test_overflowing_sigma_is_numeric_error(self, tmp_path, capsys, name, where):
+        # The noise of sigma 1e308 overflows; the message blames sigma, not the buckets.
+        config = json.loads((CONFIGS / name).read_text())
+        flags = ["--sigma", "1e308"] if where == "flag" else []
+        if where == "config":
+            config["noise"]["sigma"] = 1e308
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path), *flags]) == 3
+        err = capsys.readouterr().err
+        assert "sigma 1e+308 is too large" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / config["outputs"]["buckets"]).exists()
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -606,6 +622,20 @@ class TestSweep:
         ]
         assert len(full_psnrs) == 6
         assert all(value > 200.0 for value in full_psnrs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sigma_is_recorded_in_its_row(self, tmp_path):
+        sweep = {
+            "base": {"object": BASE_CONFIG["object"], "hybrid": BASE_CONFIG["hybrid"]},
+            "vary": {"sigmas": [1e308, 0.01]},
+        }
+        path = write_config(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["error", "ok"]
+        assert rows[0]["message"] == "sigma 1e+308 is too large: the noisy projections overflow"
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         sweep = {

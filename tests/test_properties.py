@@ -428,6 +428,23 @@ def test_large_acquire_equals_split_loop_to_rounding(height, width, range_tag, s
     assert np.max(np.abs(got - split_oracle_acquire(spec, scene, sigma, noise_seed))) <= 1e-12
 
 
+@pytest.mark.parametrize("left_kept, right_kept", [(1, 16), (8, 1), (1, 1)])
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_single_row_and_column_acquire_equals_oracle_loop(left_kept, right_kept, range_tag,
+                                                          sigma):
+    # One kept row or column: a row's noise block is one bucket's draws, or
+    # the row buffer is one column wide.
+    spec = HybridSpec((ChainEntry("hadamard", 8), ChainEntry("dct", 8, left_kept)),
+                      (ChainEntry("haar", 16, right_kept),))
+    rng = np.random.default_rng([left_kept, right_kept, list(RangeTag).index(range_tag)])
+    lo, hi = range_tag.bounds
+    scene = SceneImage(rng.uniform(lo, hi, (8, 16)), range_tag)
+    got = acquire(spec, scene, NoiseModel(sigma, 5)).values
+    assert got.shape == (left_kept, right_kept)
+    assert got.tobytes() == oracle_acquire(spec, scene, sigma, 5).tobytes()
+
+
 def test_acquire_from_eight_threads_equals_serial_calls():
     # Acquisitions share no state, so concurrent calls give the serial bytes.
     calls = [

@@ -109,6 +109,31 @@ class TestReconstruct2d:
         )
         assert np.max(np.abs(combined - separate)) < 1e-12
 
+    def test_residual_is_that_of_the_returned_real_image(self):
+        # Complex buckets on dft factors: L^H Y R is complex, and its dropped
+        # imaginary part shows up in the residual of the real image returned.
+        left, right = truncate(build_dft(16), 12), truncate(build_dft(16), 10)
+        rng = np.random.default_rng(11)
+        y = rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))
+        result = reconstruct_2d(left, right, y)
+        x = result.image.values
+        assert x.dtype == np.float64
+        want = np.linalg.norm(y - left.entries @ x @ right.entries.conj().T)
+        assert result.residual_norm == pytest.approx(want, rel=1e-12)
+        lost = np.linalg.norm((left.entries.conj().T @ y @ right.entries).imag)
+        assert result.residual_norm > 0.5 * lost > 1.0
+
+    @pytest.mark.parametrize("left_kind", KINDS)
+    @pytest.mark.parametrize("right_kind", KINDS)
+    def test_real_residual_is_rounding_for_any_buckets(self, left_kind, right_kind):
+        # For real factors L X' R^T = (L L^T) Y (R R^T): the residual is the
+        # orthonormality defect times ||Y||, whatever the buckets.
+        spec = HybridSpec.pair(left_kind, 16, right_kind, 8, left_kept=11, right_kept=5)
+        left, right = compose_chain(spec)
+        y = np.random.default_rng(12).normal(size=(11, 5)) * 1e3
+        residual = reconstruct_2d(left, right, y).residual_norm
+        assert residual <= 1e-12 * np.linalg.norm(y)
+
 
 class TestReconstructSub:
     def test_full_kept_rows_degenerates_to_2d(self):

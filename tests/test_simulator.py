@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,16 @@ class TestProject:
         assert project(p, x, noise, np.uint64((1 << 64) - 1)) == project(
             p, x, noise, (1 << 64) - 1
         )
+
+    def test_overflowing_noise_names_sigma(self):
+        # Draw 0 of seed 3 is about 2.05 standard deviations: at sigma 1e308 it overflows.
+        assert next(_noise_blocks(1.0, 3, 0, 1))[0] > 2.0
+        p, x = np.ones((2, 2)), np.ones((2, 2))
+        with pytest.raises(ParameterError, match=r"^sigma 1e\+308 is too large"):
+            project(p, x, NoiseModel(1e308, 3), 0)
+        with pytest.raises(ParameterError, match=r"^sigma 1e\+308 is too large"):
+            project(np.full((1, 1), 1.7e308), np.ones((1, 1)), NoiseModel(1e308, 3), 1)
+        assert math.isfinite(project(p, x, NoiseModel(1e307, 3), 0))
 
 
 class TestMeasureBucket:
@@ -332,6 +344,30 @@ class TestAcquire:
                            match="^all-zero pattern cannot be normalized$"):
             acquire(spec, scene, NoiseModel(0.05, 1))
         assert calls == []
+
+    @pytest.mark.parametrize("range_tag", list(RangeTag))
+    @pytest.mark.parametrize("sigma", [1e308, float(np.finfo(float).max)])
+    def test_overflowing_noise_names_sigma(self, range_tag, sigma):
+        spec = HybridSpec.pair("hadamard", 4, "dct", 8, right_kept=5)
+        scene = SceneImage(np.full((4, 8), 0.5), range_tag)
+        with pytest.raises(ParameterError, match="^" + re.escape(f"sigma {sigma} is too large")):
+            acquire(spec, scene, NoiseModel(sigma, 3))
+
+    def test_noise_memory_is_one_row_of_buckets(self):
+        # With numpy 2.4 on CPython 3.11 a 64x64 signed acquisition at
+        # sigma > 0 peaks at about 8.6 scene sizes beyond its result (factors,
+        # halves, pattern temporaries); the whole grid's noise in one block reads 32.
+        spec = HybridSpec.pair("hadamard", 64, "dct", 64)
+        scene = SceneImage(np.random.default_rng(13).uniform(-1, 1, (64, 64)), RangeTag.SIGNED)
+        noise = NoiseModel(0.05, 1)
+        acquire(spec, scene, noise)  # warm up
+        tracemalloc.start()
+        try:
+            result = acquire(spec, scene, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.values.nbytes <= 12 * scene.values.nbytes
 
     def test_metadata_carried(self):
         spec = HybridSpec.pair("hadamard", 4, "haar", 4)
