@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
 Subcommands: gen-object, acquire, reconstruct, metrics, run, sweep,
-footprint, demo-stripes. Exit codes: 0 success, 1 config error, 2 I/O
-error, 3 numeric/domain error.
+footprint, demo-stripes. Exit codes: 0 success, 1 config or usage error,
+2 I/O error, 3 numeric/domain error.
 """
 
 import argparse
@@ -10,12 +10,11 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, with_overrides
-from .errors import ConfigError, HybridGIError, ImageParseError
+from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
 from .measurement import HybridSpec, as_file_name, as_object, fields, footprint_report
 from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
 from .reconstruct import reconstruct_chain
@@ -50,10 +49,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_stage(args) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
+def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
     """A stage command's config, the object it describes, and its output paths."""
     data, base_dir = _read_config_json(args)
-    config = parse_config(with_overrides(data, sigma=args.sigma, seed=args.seed))
+    config = parse_config(with_overrides(data, sigma, seed))
     scene = config.object.build(base_dir)
     return config, scene, config.outputs.resolved(_out_dir(args))
 
@@ -70,10 +69,6 @@ def _summary_line(config: ExperimentConfig, report) -> str:
         f"psnr={report.psnr_db:.2f} ssim={report.ssim:.4f} "
         f"significant={report.significant_count}"
     )
-
-
-def _score(config: ExperimentConfig, scene: SceneImage, recon, buckets):
-    return quality_report(scene, recon, buckets=buckets, **asdict(config.metrics))
 
 
 def _write_report(config: ExperimentConfig, path, report, **extra) -> None:
@@ -100,8 +95,11 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage,
                    paths: OutputPaths | None = None):
     """Full pipeline: acquire -> reconstruct -> score, exported to ``paths`` if given."""
     buckets = _acquire(config, scene)
-    result = reconstruct_chain(config.hybrid, buckets, range_tag=scene.range_tag)
-    report = _score(config, scene, result.image, buckets)
+    try:
+        result = reconstruct_chain(config.hybrid, buckets, range_tag=scene.range_tag)
+        report = quality_report(scene, result.image, buckets=buckets, **config.metrics)
+    except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
+        raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
     if paths is not None:
         fileio.write_buckets(paths.buckets, buckets)
         _write_reconstruction(result.image, paths.image)
@@ -110,7 +108,7 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage,
 
 
 def cmd_run(args) -> int:
-    config, scene, paths = _load_stage(args)
+    config, scene, paths = _load_stage(args, args.sigma, args.seed)
     _, _, _, report = run_experiment(config, scene, paths)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -126,7 +124,7 @@ def cmd_gen_object(args) -> int:
 
 
 def cmd_acquire(args) -> int:
-    config, scene, paths = _load_stage(args)
+    config, scene, paths = _load_stage(args, args.sigma, args.seed)
     buckets = _acquire(config, scene)
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
@@ -150,7 +148,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_metrics(args) -> int:
     config, scene, paths = _load_stage(args)
     recon = fileio.read_finite_matrix(Path(paths.image).with_suffix(".csv"))
-    report = _score(config, scene, recon, fileio.read_buckets(paths.buckets))
+    buckets = fileio.read_buckets(paths.buckets)
+    report = quality_report(scene, recon, buckets=buckets, **config.metrics)
     _write_report(config, paths.report, report)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -253,23 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, help="override noise seed")
-        p.add_argument("--sigma", type=float, help="override noise sigma")
-        p.add_argument("--quiet", action="store_true", help="suppress summary output")
-
-    for name, handler in (
-        ("run", cmd_run),
-        ("gen-object", cmd_gen_object),
-        ("acquire", cmd_acquire),
-        ("reconstruct", cmd_reconstruct),
-        ("metrics", cmd_metrics),
-        ("sweep", cmd_sweep),
+    for name, handler, noisy in (
+        ("run", cmd_run, True),
+        ("gen-object", cmd_gen_object, False),
+        ("acquire", cmd_acquire, True),
+        ("reconstruct", cmd_reconstruct, False),
+        ("metrics", cmd_metrics, False),
+        ("sweep", cmd_sweep, True),
     ):
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--config", help="experiment config JSON")
+        p.add_argument("--out", help="output directory (default: cwd)")
+        if noisy:
+            p.add_argument("--seed", type=int, help="override noise seed")
+            p.add_argument("--sigma", type=float, help="override noise sigma")
+        p.add_argument("--quiet", action="store_true", help="suppress summary output")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("footprint")
@@ -286,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

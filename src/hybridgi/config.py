@@ -21,7 +21,6 @@ from .measurement import (
     one_of,
     resolve_kept_rows,  # re-exported: the config schema's rate rule
 )
-from .metrics import SIGNIFICANCE_REL_TOL
 from .scenes import (
     Orientation, StripeSpec, load_image, separable_object, staggered_stripes, windmill,
 )
@@ -67,32 +66,23 @@ _RANGE = one_of(tuple(r.value for r in RangeTag), "range")
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """Either a generator with parameters or a file path with a range."""
+    """The checked object section: a generator and its parameters, or a path and a range."""
 
-    generator: str | None
-    params: dict
-    path: str | None
-    declared_range: RangeTag | None
+    section: dict
 
     def build(self, base_dir: Path | None = None) -> SceneImage:
-        if self.path is not None:
-            path = Path(self.path)
+        params = dict(self.section)
+        if "path" in params:
+            path = Path(params["path"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            return load_image(path, self.declared_range)
+            return load_image(path, RangeTag(params["range"]))
         # A generator is a pure function of its parameters, so whatever it
         # rejects is a fault of the object section.
         try:
-            return GENERATORS[self.generator][0](**self.params)
+            return GENERATORS[params.pop("generator")][0](**params)
         except (HybridGIError, IndexError, OverflowError, ValueError) as exc:
             raise ConfigError("object", str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class MetricOptions:
-    roi: tuple[int, int, int, int] | None = None
-    peak: float | None = None
-    rel_tol: float = SIGNIFICANCE_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,7 @@ class ExperimentConfig:
     object: ObjectSpec
     hybrid: HybridSpec
     noise: NoiseModel = field(default_factory=NoiseModel)
-    metrics: MetricOptions = field(default_factory=MetricOptions)
+    metrics: dict = field(default_factory=dict)  # quality_report's keywords
     outputs: OutputPaths = field(default_factory=OutputPaths)
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -131,14 +121,12 @@ class ExperimentConfig:
 
 def _parse_object(data, path: str) -> ObjectSpec:
     if "path" in as_object(data, path):
-        spec = fields(data, path, {"path": as_file_name, "range": _RANGE}, {})
-        return ObjectSpec(None, {}, spec["path"], RangeTag(spec["range"]))
+        return ObjectSpec(fields(data, path, {"path": as_file_name, "range": _RANGE}, {}))
     generator = data.get("generator")
     # An unknown generator has no fields; the check of its name rejects it.
     # The name is any JSON value, so membership is a tuple test: a list won't hash.
     required, optional = GENERATORS[generator][1:] if generator in tuple(GENERATORS) else ({}, {})
-    params = fields(data, path, {"generator": _GENERATOR, **required}, optional)
-    return ObjectSpec(params.pop("generator"), params, None, None)
+    return ObjectSpec(fields(data, path, {"generator": _GENERATOR, **required}, optional))
 
 
 def _section(cls, checks: dict):
@@ -173,7 +161,9 @@ def _roi(value, path: str):
 
 SECTIONS = {
     "noise": _section(NoiseModel, {"sigma": as_number, "seed": as_int}),
-    "metrics": _section(MetricOptions, {"roi": _roi, "peak": _peak, "rel_tol": _positive}),
+    "metrics": lambda value, path: fields(
+        value, path, {}, {"roi": _roi, "peak": _peak, "rel_tol": _positive}
+    ),
     "outputs": _section(OutputPaths, dict.fromkeys(asdict(OutputPaths()), as_file_name)),
 }
 
@@ -189,9 +179,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
-def with_overrides(
-    data: dict, sigma: float | None = None, seed: int | None = None
-) -> dict:
+def with_overrides(data: dict, sigma: float | None = None, seed: int | None = None) -> dict:
     """Apply CLI --sigma/--seed overrides to a raw config dict."""
     overrides = {
         key: value for key, value in (("sigma", sigma), ("seed", seed))

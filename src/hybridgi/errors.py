@@ -46,6 +46,10 @@ class ParameterError(HybridGIError, ValueError):
     """Invalid generator or model parameter."""
 
 
+class ValueOverflowError(ParameterError):
+    """Finite inputs whose result leaves the float range."""
+
+
 class ImageParseError(HybridGIError, ValueError):
     """Malformed image file. Carries the byte offset of the failure when known."""
 

@@ -123,14 +123,6 @@ class HybridSpec:
         )
 
     @property
-    def left_order(self) -> int:
-        return self.left_chain[0].order
-
-    @property
-    def right_order(self) -> int:
-        return self.right_chain[0].order
-
-    @property
     def left_kept(self) -> int:
         return self.left_chain[-1].kept_rows
 
@@ -140,7 +132,8 @@ class HybridSpec:
 
     @property
     def sampling_rate(self) -> float:
-        return (self.left_kept * self.right_kept) / (self.left_order * self.right_order)
+        orders = self.left_chain[0].order * self.right_chain[0].order
+        return (self.left_kept * self.right_kept) / orders
 
     @property
     def label(self) -> str:
@@ -261,7 +254,9 @@ def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
         if "sampling_rate" in entry:
             if "kept_rows" in entry:
                 raise ConfigError(entry_path, "give kept_rows or sampling_rate, not both")
-            entry["kept_rows"] = resolve_kept_rows(entry.pop("sampling_rate"), entry["order"])
+            # A rate is a fraction of the order, so the order must be within float range.
+            order = as_number(entry["order"], f"{entry_path}.order")
+            entry["kept_rows"] = resolve_kept_rows(entry.pop("sampling_rate"), order)
         chain.append(ChainEntry(**entry))
     return tuple(chain)
 

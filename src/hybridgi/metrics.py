@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, ValueOverflowError
 from .simulator import RangeTag, SceneImage
 
 SSIM_WINDOW = 8
@@ -65,7 +65,7 @@ def mse(a, b, roi: Roi | None = None) -> float:
     with np.errstate(over="ignore"):
         err = float(np.mean((a - b) ** 2))
     if err == math.inf:
-        raise ParameterError("the mean squared difference of the compared images overflows")
+        raise ValueOverflowError("the mean squared difference of the compared images overflows")
     return err
 
 
@@ -132,7 +132,7 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     if not denominator.all():  # a flat window of zeros has the denominator c1 * c2
         raise ParameterError(f"the SSIM stabilizers' product c1 * c2 underflows at peak {peak}")
     if not (np.isfinite(denominator).all() and np.isfinite(per_window).all()):
-        raise ParameterError("the SSIM window statistics of the compared images overflow")
+        raise ValueOverflowError("the SSIM window statistics of the compared images overflow")
     return float(per_window.mean())
 
 

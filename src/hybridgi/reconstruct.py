@@ -7,13 +7,14 @@ Reconstructed values are not clipped to the object's declared range;
 clipping only happens at display export.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError, ValueOverflowError
 from .measurement import HybridSpec, as_factor, compose_chain, forward
-from .simulator import BucketSignals, RangeTag, SceneImage
+from .simulator import RangeTag, SceneImage
 from .transforms import TransformMatrix
 
 
@@ -54,7 +55,8 @@ def reconstruct_2d(
     output keeps the full image dimensions and, for noiseless buckets,
     equals the projection L_t^H @ L_t @ X @ R_t^H @ R_t of the true image.
     Complex factors yield a real image (the real part); any complex
-    residue shows up in residual_norm.
+    residue shows up in residual_norm. Finite buckets whose recovery or its
+    forward image leaves the float range raise ValueOverflowError.
     """
     left, right = as_factor(left), as_factor(right)
     values = np.asarray(getattr(y, "values", y))
@@ -63,11 +65,19 @@ def reconstruct_2d(
             f"bucket shape {values.shape} does not match kept rows "
             f"{left.kept_rows}x{right.kept_rows}"
         )
-    x = left.entries.conj().T @ values @ right.entries
-    image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
-    residual = float(np.linalg.norm(values - forward(left, right, image.values)))
-    spec = y.spec if isinstance(y, BucketSignals) else None
-    return ReconstructionResult(image, spec, residual)
+    if not np.isfinite(values).all():
+        raise ParameterError("bucket values must be finite, got a NaN or infinite value")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x = left.entries.conj().T @ values @ right.entries
+        image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
+        fitted = forward(left, right, image.values)
+    if not (np.isfinite(image.values).all() and np.isfinite(fitted).all()):
+        raise ValueOverflowError("the reconstruction of the buckets overflows")
+    # The norm squares its entries: scale them below 2 by a power of two, which rounds nothing.
+    largest = max(np.abs(values).max(), np.abs(fitted).max())
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    fitted /= scale
+    return ReconstructionResult(image, None, scale * float(np.linalg.norm(values / scale - fitted)))
 
 
 # Sub-Nyquist recovery is the same inversion with truncated factors.

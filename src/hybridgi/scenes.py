@@ -116,6 +116,7 @@ def windmill(height: int, width: int, blade_count: int) -> SceneImage:
     around the image center, inside the inscribed disk; everything else is
     dark. A small dark hub covers the center, where the dark wedges thin
     out below one pixel, so the blades stay disjoint on the pixel grid.
+    A blade_count whose hub covers the whole disk is rejected.
     """
     if blade_count < 2:
         raise ParameterError(f"blade_count must be >= 2, got {blade_count}")
@@ -124,6 +125,8 @@ def windmill(height: int, width: int, blade_count: int) -> SceneImage:
     ci, cj = (height - 1) / 2.0, (width - 1) / 2.0
     radius = min(height, width) / 2.0
     hub = max(2.0, 1.5 * blade_count / math.pi)
+    if hub > radius:
+        raise ParameterError(f"blade_count {blade_count} leaves no blade: its hub covers the wheel")
     di = np.arange(height)[:, None] - ci
     dj = np.arange(width)[None, :] - cj
     dist_sq = di * di + dj * dj

@@ -236,11 +236,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "where, command, code",
-        [("noise.sigma", "run", 1), ("metrics.peak", "run", 1), ("sidecar", "reconstruct", 2)],
+        [("noise.sigma", "run", 1), ("metrics.peak", "run", 1), ("sidecar", "reconstruct", 2),
+         ("hybrid.left[0].order", "run", 1)],
     )
     def test_integer_beyond_float_range_is_rejected(self, tmp_path, capsys, where, command, code):
         config = json.loads(json.dumps(BASE_CONFIG))
-        if where != "sidecar":
+        if where == "hybrid.left[0].order":  # an entry with a sampling_rate to resolve
+            config["hybrid"]["left"][0]["order"] = 10**400
+        elif where != "sidecar":
             section, key = where.split(".")
             config[section][key] = 10**400
         config_path = write_config(tmp_path, config)
@@ -275,6 +278,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "squared difference of the compared images overflows" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_huge_finite_buckets_reconstruct_or_name_the_overflow(self, tmp_path, capsys, where):
+        # One bucket of 1e300 squares past float range, but its residual does
+        # not; every bucket at 1.7e308 overflows the recovery itself.
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+        values = fileio.read_csv_matrix(out / "buckets.csv")
+        if where == "one":
+            values[0, 0] = 1e300
+        else:
+            values[:] = 1.7e308
+        fileio.write_csv_matrix(out / "buckets.csv", values)
+        code = main(["reconstruct", "--config", str(config_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if where == "one":
+            assert code == 0
+            assert 0.0 < float(captured.out.split("residual=")[1].split()[0]) < 1e300
+        else:
+            assert code == 3
+            assert "error: the reconstruction of the buckets overflows" in captured.err
 
     def test_overflowing_ssim_statistics_are_numeric_error(self, tmp_path, capsys):
         config_path = write_config(tmp_path, BASE_CONFIG)
@@ -327,18 +354,24 @@ class TestExitCodes:
         assert report["quality"]["significant_count"] == 0
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    @pytest.mark.parametrize("name", ["stripes_compression.json", "chained_transforms.json"])
-    def test_overflowing_sigma_is_numeric_error(self, tmp_path, capsys, name, where):
-        # The noise of sigma 1e308 overflows; the message blames sigma, not the buckets.
+    @pytest.mark.parametrize(
+        "name, where, sigma",
+        [pytest.param(name, where, sigma, id=f"{name}-{where}{suffix}")
+         for sigma, suffix in ((1e308, ""), (1e307, "-1e307"))
+         for name in ("stripes_compression.json", "chained_transforms.json")
+         for where in ("flag", "config")],
+    )
+    def test_overflowing_sigma_is_numeric_error(self, tmp_path, capsys, name, where, sigma):
+        # The noise of sigma 1e308 overflows the projections, and that of 1e307
+        # the scores; either way the message blames sigma, not buckets or images.
         config = json.loads((CONFIGS / name).read_text())
-        flags = ["--sigma", "1e308"] if where == "flag" else []
+        flags = ["--sigma", str(sigma)] if where == "flag" else []
         if where == "config":
-            config["noise"]["sigma"] = 1e308
+            config["noise"]["sigma"] = sigma
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path), *flags]) == 3
         err = capsys.readouterr().err
-        assert "sigma 1e+308 is too large" in err
+        assert f"sigma {sigma} is too large" in err
         assert "Traceback" not in err
         assert not (tmp_path / config["outputs"]["buckets"]).exists()
 
@@ -455,6 +488,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"hybrid: left chain order must be positive, got {entry['order']}\n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--seed", "x"], ["run", "--sigma", "much"], ["run", "--seeds", "1"],
+         ["sweep", "--verbose"],
+         *([command, flag, "1"] for command in ("gen-object", "reconstruct", "metrics")
+           for flag in ("--seed", "--sigma"))],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_usage_errors_are_config_errors(self, tmp_path, capsys, argv):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage: hybridgi" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert "--sigma" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "acquire", "sweep"])
+    def test_noisy_commands_take_both_noise_flags(self, tmp_path, command):
+        data = {"base": BASE_CONFIG} if command == "sweep" else BASE_CONFIG
+        config_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config_path), "--out", str(out), "--quiet",
+                "--seed", "3", "--sigma", "0.5"]
+        assert main(argv) == 0
+        if command == "sweep":
+            with open(out / "sweep.csv", newline="") as handle:
+                (row,) = csv.DictReader(handle)
+            assert (float(row["sigma"]), int(row["seed"])) == (0.5, 3)
+        else:
+            meta = json.loads(fileio.sidecar_path(out / "buckets.csv").read_text())
+            assert (meta["noise_sigma"], meta["seed"]) == (0.5, 3)
+
     @pytest.mark.parametrize("value", [None, 5, ""], ids=["null", "number", "empty"])
     def test_object_path_must_be_a_file_name(self, tmp_path, capsys, value):
         config = dict(BASE_CONFIG, object={"path": value, "range": "signed"})
@@ -531,10 +600,14 @@ class TestExitCodes:
             # The generator name is JSON input: any value, hashable or not.
             (dict(BASE_CONFIG["object"], generator=["windmill"]), "unknown generator"),
             (dict(BASE_CONFIG["object"], generator={"a": 1}), "unknown generator"),
+            # A hub as large as the wheel leaves no blade, and no sector index to cast.
+            (dict(BASE_CONFIG["object"], blade_count=2**62), "leaves no blade"),
+            (dict(BASE_CONFIG["object"], blade_count=2**63), "leaves no blade"),
         ],
         ids=["row-out-of-range", "one-blade", "odd-period", "string-binarize", "unknown-key",
              "unknown-path-form-key", "huge-blade-count", "huge-height", "huge-stagger-offset",
-             "huge-band-size", "huge-stripes-height", "list-generator", "object-generator"],
+             "huge-band-size", "huge-stripes-height", "list-generator", "object-generator",
+             "blade-count-2**62", "blade-count-2**63"],
     )
     def test_bad_generator_parameters_are_config_errors(self, tmp_path, capsys, obj, message):
         config_path = write_config(tmp_path, dict(BASE_CONFIG, object=obj))
@@ -627,15 +700,18 @@ class TestSweep:
     def test_overflowing_sigma_is_recorded_in_its_row(self, tmp_path):
         sweep = {
             "base": {"object": BASE_CONFIG["object"], "hybrid": BASE_CONFIG["hybrid"]},
-            "vary": {"sigmas": [1e308, 0.01]},
+            "vary": {"sigmas": [1e308, 1e307, 0.01]},
         }
         path = write_config(tmp_path, sweep, "sweep.json")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
         with open(out / "sweep.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert [row["status"] for row in rows] == ["error", "ok"]
+        assert [row["status"] for row in rows] == ["error", "error", "ok"]
         assert rows[0]["message"] == "sigma 1e+308 is too large: the noisy projections overflow"
+        # At 1e307 the buckets stay finite, and the scores overflow.
+        assert rows[1]["message"] == ("sigma 1e+307 is too large: the mean squared "
+                                      "difference of the compared images overflows")
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         sweep = {

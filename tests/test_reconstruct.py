@@ -8,6 +8,7 @@ from hybridgi import (
     ChainEntry,
     HybridSpec,
     NoiseModel,
+    ParameterError,
     RangeTag,
     SceneImage,
     ShapeError,
@@ -28,6 +29,7 @@ from hybridgi import (
     unvec,
     vec_rows,
 )
+from hybridgi.errors import ValueOverflowError
 
 KINDS = ("hadamard", "dct", "haar")
 
@@ -133,6 +135,31 @@ class TestReconstruct2d:
         y = np.random.default_rng(12).normal(size=(11, 5)) * 1e3
         residual = reconstruct_2d(left, right, y).residual_norm
         assert residual <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("left_kind", ["hadamard", "dft"])
+    def test_residual_of_huge_finite_buckets_is_exactly_scaled(self, left_kind):
+        # The squares of entries near 1e300 overflow, not their norm: the
+        # residual of 2**900 * Y is 2**900 times that of Y, bit for bit.
+        spec = HybridSpec.pair(left_kind, 16, "dct", 8, left_kept=11, right_kept=5)
+        left, right = compose_chain(spec)
+        y = np.random.default_rng(14).normal(size=(11, 5))
+        residual = reconstruct_2d(left, right, y).residual_norm
+        huge = reconstruct_2d(left, right, np.ldexp(y, 900)).residual_norm
+        assert 0.0 < residual and huge == np.ldexp(residual, 900)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_recovery_is_an_error(self):
+        left, right = build_hadamard(3), build_dct(4)
+        with pytest.raises(ValueOverflowError, match="reconstruction of the buckets overflows"):
+            reconstruct_2d(left, right, np.full((8, 4), 1.7e308))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_buckets_are_rejected(self, value):
+        y = np.zeros((8, 4))
+        y[2, 1] = value
+        with pytest.raises(ParameterError, match="bucket values must be finite"):
+            reconstruct_2d(build_hadamard(3), build_dct(4), y)
 
 
 class TestReconstructSub:
@@ -255,6 +282,13 @@ def test_result_reports_spec_and_range():
     result = reconstruct_chain(spec, buckets, range_tag=RangeTag.SIGNED)
     assert result.spec == spec
     assert result.image.range_tag is RangeTag.SIGNED
+
+
+def test_only_the_chain_inverse_reports_a_spec():
+    spec = HybridSpec.pair("hadamard", 4, "haar", 4)
+    buckets = acquire_ideal(spec, SceneImage(np.eye(4), RangeTag.SIGNED))
+    assert reconstruct_2d(*compose_chain(spec), buckets).spec is None
+    assert reconstruct_chain(spec, buckets.values).spec == spec
 
 
 def test_six_reference_sets_roundtrip_32x64():

@@ -187,6 +187,11 @@ class TestWindmill:
             windmill(32, 64, 1)
         with pytest.raises(ParameterError):
             windmill(4, 64, 4)
+        # The hub's radius is 1.5 * blade_count / pi: 15.8 for 33 blades, 16.2 for 34.
+        assert windmill(32, 64, 33).values.any()
+        for blades in (34, 2**62, 2**63):
+            with pytest.raises(ParameterError, match=f"blade_count {blades} leaves no blade"):
+                windmill(32, 64, blades)
 
 
 class TestStripeSearch:
