@@ -72,7 +72,10 @@ def mse(a, b, roi: Roi | None = None) -> float:
 def psnr(reference, test, peak: float, roi: Roi | None = None) -> float:
     """10 * log10(peak^2 / mse) in dB; +inf when the images match exactly."""
     _require_peak(peak)
-    err = mse(reference, test, roi)
+    return _psnr_of(mse(reference, test, roi), peak)
+
+
+def _psnr_of(err: float, peak: float) -> float:
     if err == 0.0:
         return math.inf
     ratio = float(peak) * float(peak) / err
@@ -121,13 +124,26 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
             "the product c1 * c2 of its stabilizers is not finite"
         )
     with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
-        sum_a, sum_b = _window_sums(a), _window_sums(b)  # a plane at a time: less memory
-        sum_aa, sum_bb, sum_ab = _window_sums(a * a), _window_sums(b * b), _window_sums(a * b)
-        mu_a, mu_b = sum_a / n, sum_b / n
-        var_a = (sum_aa - sum_a * mu_a) / (n - 1)
-        var_b = (sum_bb - sum_b * mu_b) / (n - 1)
-        cov = (sum_ab - sum_a * mu_b) / (n - 1)
-        denominator = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        # Each statistic is its textbook expression op for op, built in place: at most
+        # seven planes live at once, four held while a product's window sums take three.
+        sum_b = _window_sums(b)
+        mu_b = sum_b / n
+        var_b = _window_sums(b * b)
+        var_b -= np.multiply(sum_b, mu_b, out=sum_b)
+        sum_a = _window_sums(a)
+        cov = _window_sums(a * b)
+        cov -= np.multiply(sum_a, mu_b, out=sum_b)
+        del sum_b
+        var_a = _window_sums(a * a)
+        mu_a = sum_a / n
+        var_a -= np.multiply(sum_a, mu_a, out=sum_a)
+        for plane in (var_a, var_b, cov):
+            plane /= n - 1
+        var_a += var_b  # the denominator's var_a + var_b + c2
+        var_a += c2
+        del sum_a, var_b
+        denominator = (mu_a**2 + mu_b**2 + c1) * var_a
+        del var_a
         per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / denominator
     if not denominator.all():  # a flat window of zeros has the denominator c1 * c2
         raise ParameterError(f"the SSIM stabilizers' product c1 * c2 underflows at peak {peak}")
@@ -210,7 +226,7 @@ def quality_report(
     margin = EXACT_ULPS_PER_SIDE * side * np.finfo(np.float64).eps
     exact = err <= (margin * peak) ** 2
     return QualityReport(
-        psnr_db=-20.0 * math.log10(margin) if exact else psnr(reference, test, peak, roi),
+        psnr_db=-20.0 * math.log10(margin) if exact else _psnr_of(err, peak),
         ssim=ssim(reference, test, peak, roi),
         mse=0.0 if exact else err,
         significant_count=count,

@@ -68,8 +68,7 @@ def reconstruct_2d(
     if not np.isfinite(values).all():
         raise ParameterError("bucket values must be finite, got a NaN or infinite value")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        x = left.entries.conj().T @ values @ right.entries
-        image = SceneImage(np.real(x) if np.iscomplexobj(x) else x, range_tag)
+        image = SceneImage(np.real(left.entries.conj().T @ values @ right.entries), range_tag)
         fitted = forward(left, right, image.values)
     if not (np.isfinite(image.values).all() and np.isfinite(fitted).all()):
         raise ValueOverflowError("the reconstruction of the buckets overflows")
@@ -77,7 +76,9 @@ def reconstruct_2d(
     largest = max(np.abs(values).max(), np.abs(fitted).max())
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
     fitted /= scale
-    return ReconstructionResult(image, None, scale * float(np.linalg.norm(values / scale - fitted)))
+    residual = np.divide(values, scale, out=np.empty(values.shape, np.result_type(values, fitted)))
+    residual -= fitted  # values / scale - fitted, in one buffer that may be complex
+    return ReconstructionResult(image, None, scale * float(np.linalg.norm(residual)))
 
 
 # Sub-Nyquist recovery is the same inversion with truncated factors.

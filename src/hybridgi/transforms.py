@@ -165,7 +165,8 @@ def build_dft(order: int) -> TransformMatrix:
     """
     _check_order(order)
     idx = np.arange(order)
-    entries = np.exp((2j * np.pi / order) * np.outer(idx, idx)) / math.sqrt(order)
+    entries = (2j * np.pi / order) * np.outer(idx, idx)
+    np.divide(np.exp(entries, out=entries), math.sqrt(order), out=entries)  # in place
     return TransformMatrix(TransformKind.DFT, entries)
 
 

@@ -12,6 +12,7 @@ from hybridgi import (
     SceneImage,
     ShapeError,
     count_significant,
+    metrics,
     mse,
     psnr,
     quality_report,
@@ -158,8 +159,10 @@ def _window_sums_stacked(x):
 
 class TestSsimPlanes:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40)])
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40), (256, 256)])
     def test_per_plane_sums_equal_stacked_sums_bitwise(self, seed, shape):
+        # ssim builds its statistics in place; stacked_ssim evaluates each one
+        # as a single expression of whole planes. Signed values, then a roi.
         rng = np.random.default_rng(seed)
         a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
         b = a + rng.normal(scale=0.1, size=shape)
@@ -168,8 +171,14 @@ class TestSsimPlanes:
             assert np.array_equal(_window_sums(x), _window_sums_stacked(x[None])[0])
         assert ssim(a, b, peak) == stacked_ssim(a, b, peak)
         assert ssim(b, a, peak) == stacked_ssim(b, a, peak)
+        height, width = max(8, shape[0] * 7 // 8), max(8, shape[1] * 7 // 8)
+        top, left = shape[0] - height, shape[1] - width
+        roi = (top, left, height, width)
+        assert ssim(a, b, peak, roi) == stacked_ssim(a[top:, left:], b[top:, left:], peak)
 
     def test_memory_on_256_squared(self):
+        # The window sums of a product (the product, its column sums and the
+        # sums) over four held statistics: about seven 0.5-MiB planes, 3.4 MiB.
         rng = np.random.default_rng(9)
         a, b = rng.random((256, 256)), rng.random((256, 256))  # 0.5 MiB each
         tracemalloc.start()
@@ -179,7 +188,7 @@ class TestSsimPlanes:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 7 << 20
+        assert peak <= 4.5 * (1 << 20)
 
 
 class TestLargeValues:
@@ -409,6 +418,14 @@ class TestQualityReport:
             else:
                 assert report.mse == mse(reference, test)
                 assert report.psnr_db == psnr(reference, test, peak)
+
+    def test_mse_is_taken_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "mse", lambda *args: calls.append(args) or mse(*args))
+        reference, test = np.zeros((16, 24)), np.full((16, 24), 0.1)
+        report = quality_report(reference, test, peak=1.0)
+        assert len(calls) == 1
+        assert report.psnr_db == psnr(reference, test, 1.0) == pytest.approx(20.0)
 
     def test_exactness_uses_the_roi_side(self):
         reference = np.zeros((64, 64))

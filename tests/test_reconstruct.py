@@ -1,5 +1,8 @@
 """Reconstruction tests: path equivalence, projections, chain inversion."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,8 +33,27 @@ from hybridgi import (
     vec_rows,
 )
 from hybridgi.errors import ValueOverflowError
+from hybridgi.measurement import forward
 
 KINDS = ("hadamard", "dct", "haar")
+ORACLE_SPECS = {
+    "real": HybridSpec.pair("hadamard", 16, "dct", 8),
+    "dft": HybridSpec.pair("dft", 16, "dft", 8),
+    "hadamard-dft": HybridSpec.pair("hadamard", 16, "dft", 8),
+    "sub-nyquist": HybridSpec.pair("hadamard", 16, "dct", 8, left_kept=11, right_kept=5),
+    "sub-nyquist-dft": HybridSpec.pair("dct", 16, "dft", 8, left_kept=11, right_kept=5),
+}
+
+
+def expression_reconstruction(left, right, values):
+    """reconstruct_2d's image and residual_norm, each as one whole-array expression."""
+    x = left.entries.conj().T @ values @ right.entries
+    image = np.array(np.real(x) if np.iscomplexobj(x) else x, dtype=np.float64)
+    fitted = left.entries @ image @ right.entries.conj().T
+    largest = max(np.abs(values).max(), np.abs(fitted).max())
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    fitted /= scale
+    return image, scale * float(np.linalg.norm(values / scale - fitted))
 
 
 class TestReconstruct1d:
@@ -160,6 +182,41 @@ class TestReconstruct2d:
         y[2, 1] = value
         with pytest.raises(ParameterError, match="bucket values must be finite"):
             reconstruct_2d(build_hadamard(3), build_dct(4), y)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    @pytest.mark.parametrize("buckets", ["real", "complex"])
+    @pytest.mark.parametrize("exponent", [0, 900])
+    def test_image_and_residual_equal_the_expressions_bitwise(self, spec, buckets, exponent):
+        # Real buckets meet complex fitted values on dft factors, and complex
+        # buckets meet real ones on real factors.
+        left, right = compose_chain(spec)
+        rng = np.random.default_rng(15)
+        y = rng.normal(size=(left.kept_rows, right.kept_rows))
+        if buckets == "complex":
+            y = y + 1j * rng.normal(size=y.shape)
+        y *= 2.0**exponent
+        result = reconstruct_2d(left, right, y)
+        image, residual_norm = expression_reconstruction(left, right, y)
+        assert result.image.values.tobytes() == image.tobytes()
+        assert result.residual_norm == residual_norm
+
+    def test_memory_on_256_squared(self):
+        # Hadamard then dct at rate 0.75 (192 kept rows) by a dft: the complex
+        # L^H Y R dies once its real part is copied, and the residual takes one
+        # buffer. About 3.4 MiB, beside the 0.75-MiB buckets.
+        spec = HybridSpec(
+            (ChainEntry("hadamard", 256), ChainEntry("dct", 256, 192)), (ChainEntry("dft", 256),)
+        )
+        left, right = compose_chain(spec)
+        y = forward(left, right, np.random.default_rng(16).uniform(0.0, 1.0, (256, 256)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reconstruct_2d(left, right, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * (1 << 20)
 
 
 class TestReconstructSub:

@@ -1,6 +1,7 @@
 """Transform builder tests against independently computed oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ class TestDft:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrderError):
             build_dft(-3)
+
+    @pytest.mark.parametrize("order", [*range(1, 65), 512])
+    def test_in_place_build_equals_the_expression_bitwise(self, order):
+        idx = np.arange(order)
+        expected = np.exp((2j * np.pi / order) * np.outer(idx, idx)) / math.sqrt(order)
+        assert build_dft(order).entries.tobytes() == expected.tobytes()
+
+    def test_memory_at_order_256(self):
+        # The integer phase grid (0.5 MiB) beside the 1-MiB complex entries,
+        # which exp and the scaling then overwrite in place.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_dft(256)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (1 << 20)
 
 
 class TestDefect:
