@@ -84,11 +84,10 @@ def _write_report(config: ExperimentConfig, path, report, **extra) -> None:
     )
 
 
-def _write_reconstruction(image: SceneImage, path) -> None:
-    """The display PGM at ``path`` plus the exact CSV beside it."""
-    image_path = Path(path)
-    scenes.save_image(image, image_path)
-    fileio.write_csv_matrix(image_path.with_suffix(".csv"), image.values)
+def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
+    """The display image plus the exact CSV beside it."""
+    scenes.save_image(image, paths.image)
+    fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
 def run_experiment(config: ExperimentConfig, scene: SceneImage,
@@ -102,7 +101,7 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage,
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
     if paths is not None:
         fileio.write_buckets(paths.buckets, buckets)
-        _write_reconstruction(result.image, paths.image)
+        _write_reconstruction(result.image, paths)
         _write_report(config, paths.report, report, residual_norm=result.residual_norm)
     return scene, buckets, result, report
 
@@ -139,7 +138,7 @@ def cmd_reconstruct(args) -> int:
     _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
-    _write_reconstruction(result.image, paths.image)
+    _write_reconstruction(result.image, paths)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
     return 0
@@ -147,7 +146,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_metrics(args) -> int:
     config, scene, paths = _load_stage(args)
-    recon = fileio.read_finite_matrix(Path(paths.image).with_suffix(".csv"))
+    recon = fileio.read_finite_matrix(paths.image_csv)
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
     _write_report(config, paths.report, report)

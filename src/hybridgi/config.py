@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, HybridGIError
+from .fileio import sidecar_path
 from .measurement import (
     HybridSpec,
     as_file_name,
@@ -92,12 +93,21 @@ class OutputPaths:
     report: str = "report.json"
     object: str = "object.pgm"
 
-    def resolved(self, out_dir: Path) -> "OutputPaths":
-        def under(p: str) -> str:
-            path = Path(p)
-            return str(path if path.is_absolute() else out_dir / path)
+    @property
+    def image_csv(self) -> str:
+        """The exact CSV of the reconstruction: the image itself if that is a .csv."""
+        return str(Path(self.image).with_suffix(".csv"))
 
-        return OutputPaths(**{name: under(p) for name, p in asdict(self).items()})
+    def resolved(self, out_dir: Path) -> "OutputPaths":
+        """These paths under ``out_dir``, once checked to name one file each that run writes."""
+        paths = OutputPaths(**{name: str(Path(out_dir, p)) for name, p in asdict(self).items()})
+        # The set keeps one of an image named .csv and its exact CSV: they are one file.
+        written = [*{paths.image, paths.image_csv}, paths.buckets, paths.report,
+                   str(sidecar_path(paths.buckets))]
+        if len({Path(file).resolve() for file in written}) < len(written):
+            raise ConfigError("outputs", "two of the files that run writes (the image, its CSV, "
+                              "the buckets, their sidecar and the report) are one file")
+        return paths
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ bytes are exactly those of formatting each value on its own.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,26 +19,17 @@ from .simulator import BucketSignals
 
 MAX_PIXELS = 1 << 26
 
-_WHITESPACE = b" \t\r\n\v\f"
+# PNM tokens are separated by whitespace; '#' starts a comment to EOL.
+_SEPARATORS = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"[^ \t\r\n\v\f]+")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # PNM tokens are separated by whitespace; '#' starts a comment to EOL.
-    while pos < len(data):
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-        elif byte in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= len(data):
+    pos = _SEPARATORS.match(data, pos).end()
+    token = _TOKEN.match(data, pos)
+    if token is None:
         raise ImageParseError("unexpected end of PGM header", offset=pos)
-    start = pos
-    while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
+    return token.group(), token.end()
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -98,28 +90,21 @@ def write_csv_matrix(path, matrix: np.ndarray) -> None:
         out.write("" if height else "\n")
 
 
-def _raise_csv_error(path):
-    """Raise the error of a CSV matrix read_csv_matrix rejected, from its whole text."""
+def _raise_csv_error(path, line: str, start: int, parse):
+    """Raise the error of a CSV ``line``, at text offset ``start``, that failed to parse."""
     try:
-        text = Path(path).read_text()
+        Path(path).read_text()  # an undecodable byte anywhere wins over a bad token
     except UnicodeDecodeError as exc:
         message = f"{path}: not {exc.encoding} text ({exc.reason})"
         raise ImageParseError(message, offset=exc.start) from None
-    parse = complex if "j" in text else float
-    offset = 0
-    for line in text.split("\n"):
-        for token in line.split(","):
-            try:
-                if line.strip():  # a blank line holds no value
-                    parse(token)
-            except ValueError:
-                value = token.strip()
-                offset += token.find(value)
-                raise ImageParseError(f"bad CSV value {value!r}", offset=offset) from None
-            offset += len(token) + 1  # the token and its comma or newline
-    widths = sorted({len(line.split(",")) for line in text.split("\n") if line.strip()})
-    message = f"ragged CSV rows (widths {widths})" if widths else "empty CSV matrix"
-    raise ImageParseError(message, offset=0)
+    for token in line.split(","):
+        try:
+            parse(token)
+        except ValueError:
+            break
+        start += len(token) + 1  # the token and its comma
+    value = token.strip()
+    raise ImageParseError(f"bad CSV value {value!r}", offset=start + token.find(value)) from None
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -128,14 +113,19 @@ def read_csv_matrix(path) -> np.ndarray:
         complex_file = any(b"j" in chunk for chunk in iter(lambda: raw.read(1 << 16), b""))
     # A complex file may hold real tokens too: complex() parses them alike.
     parse, dtype = (complex, np.complex128) if complex_file else (float, np.float64)
+    rows, line, start = [], "", 0
     try:
         with open(path) as text:
-            rows = [np.array(list(map(parse, line.split(","))), dtype)
-                    for line in text if line.strip()]
+            for line in text:
+                if line.strip():  # a blank line holds no value
+                    rows.append(np.array(list(map(parse, line.split(","))), dtype))
+                start += len(line)
     except ValueError:  # a bad token, or a byte that does not decode
-        rows = []
-    if len({row.size for row in rows}) != 1:
-        _raise_csv_error(path)
+        _raise_csv_error(path, line, start, parse)
+    widths = sorted({row.size for row in rows})
+    if len(widths) != 1:
+        message = f"ragged CSV rows (widths {widths})" if widths else "empty CSV matrix"
+        raise ImageParseError(message, offset=0)
     return np.stack(rows)
 
 

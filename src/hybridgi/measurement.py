@@ -13,10 +13,13 @@ with right row n; image column l = i * N + j addresses pixel (i, j).
 import math
 from dataclasses import dataclass
 from functools import reduce
+from pathlib import PurePath
 
 import numpy as np
 
-from .errors import ChainCompositionError, ConfigError, ResourceLimitError, ShapeError
+from .errors import (
+    ChainCompositionError, ConfigError, InvalidOrderError, ResourceLimitError, ShapeError,
+)
 from .transforms import TransformKind, TransformMatrix, build_transform
 
 KRON_ENTRY_CAP = 1 << 28
@@ -162,9 +165,16 @@ class HybridSpec:
         """
         chains = fields(data, path, {"left": _parse_chain, "right": _parse_chain}, {})
         try:
-            return cls(chains["left"], chains["right"])
+            spec = cls(chains["left"], chains["right"])
         except ChainCompositionError as exc:
             raise ConfigError(path, str(exc)) from exc
+        for side, chain in chains.items():  # checked, not built: the order each kind admits
+            for i, entry in enumerate(chain):
+                try:
+                    entry.kind.check_order(entry.order)
+                except InvalidOrderError as exc:
+                    raise ConfigError(f"{path}.{side}[{i}].order", str(exc)) from exc
+        return spec
 
 
 def _field_path(path: str, key: str) -> str:
@@ -214,7 +224,8 @@ def as_number(value, path: str) -> float:
 
 
 def as_file_name(value, path: str) -> str:
-    if not (isinstance(value, str) and value):
+    # A name that ends in a root or a "." names a directory, and a NUL no file at all.
+    if not (isinstance(value, str) and PurePath(value).name and "\0" not in value):
         raise ConfigError(path, f"expected a non-empty file name, got {value!r}")
     return value
 

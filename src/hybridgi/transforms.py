@@ -7,7 +7,8 @@ builders emit row-orthonormal matrices: M @ M^H = I to better than 1e-10,
 where ^H is the conjugate transpose (plain transpose for the real kinds).
 
 Orders are capped at 4096 (2**12). Dense storage above that is rejected
-rather than silently slow.
+rather than silently slow. Hadamard and Haar orders are powers of two >= 2;
+TransformKind.check_order states the rule for every kind.
 
 Indexing is 0-based everywhere in this package.
 """
@@ -33,6 +34,16 @@ class TransformKind(str, Enum):
     # Built from other factors: a chain's product (measurement.compose_chain)
     # or a Kronecker product of two factors (measurement.kron).
     COMPOSITE = "composite"
+
+    def check_order(self, order: int) -> None:
+        """Raise InvalidOrderError unless a factor of this kind can have ``order``."""
+        if not _is_integer(order) or order < 1:
+            raise InvalidOrderError(f"order must be a positive integer, got {order!r}")
+        if order > MAX_ORDER:
+            raise InvalidOrderError(f"order {order} exceeds the dense cap {MAX_ORDER}")
+        powers_of_two = self in (TransformKind.HADAMARD, TransformKind.HAAR)
+        if powers_of_two and (order < 2 or order & (order - 1)):
+            raise InvalidOrderError(f"{self.value} order must be a power of two >= 2, got {order}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +95,6 @@ def _check_exponent(n: int) -> None:
         )
 
 
-def _check_order(order: int) -> None:
-    if not _is_integer(order) or order < 1:
-        raise InvalidOrderError(f"order must be a positive integer, got {order!r}")
-    if order > MAX_ORDER:
-        raise InvalidOrderError(f"order {order} exceeds the dense cap {MAX_ORDER}")
-
-
 def build_hadamard(n: int) -> TransformMatrix:
     """Sylvester-recursive Walsh-Hadamard matrix of order 2**n.
 
@@ -113,7 +117,7 @@ def build_dct(order: int) -> TransformMatrix:
     coeff(0) = sqrt(1/order) and coeff(r>0) = sqrt(2/order). Row 0 is the
     constant vector; every later row is zero-mean.
     """
-    _check_order(order)
+    TransformKind.DCT.check_order(order)
     r = np.arange(order, dtype=np.float64)
     coeff = np.full(order, math.sqrt(2.0 / order))
     coeff[0] = math.sqrt(1.0 / order)
@@ -133,15 +137,11 @@ def haar_raw_rows(n: int) -> np.ndarray:
     order = 1 << n
     rows = np.zeros((order, order))
     rows[0] = 1.0
-    r = 1
     for level in range(n):
-        support = order >> level
-        half = support >> 1
-        for k in range(1 << level):
-            start = k * support
-            rows[r, start : start + half] = 1.0
-            rows[r, start + half : start + support] = -1.0
-            r += 1
+        count = 1 << level
+        # Row k of the level: its k-th block of columns, as a first and a second half.
+        blocks = rows[count : 2 * count].reshape(count, count, 2, -1)
+        blocks[np.arange(count), np.arange(count)] = [[1.0], [-1.0]]
     return rows
 
 
@@ -163,7 +163,7 @@ def build_dft(order: int) -> TransformMatrix:
     Complex valued for order >= 3. The acquisition simulator rejects
     complex patterns, so DFT factors are restricted to the ideal math path.
     """
-    _check_order(order)
+    TransformKind.DFT.check_order(order)
     idx = np.arange(order)
     entries = (2j * np.pi / order) * np.outer(idx, idx)
     np.divide(np.exp(entries, out=entries), math.sqrt(order), out=entries)  # in place
@@ -171,28 +171,20 @@ def build_dft(order: int) -> TransformMatrix:
 
 
 def build_identity(order: int) -> TransformMatrix:
-    """Identity matrix, used to pad unequal-length transform chains."""
-    _check_order(order)
+    """Identity matrix: the ``identity`` kind of a config's chain entry."""
+    TransformKind.IDENTITY.check_order(order)
     return TransformMatrix(TransformKind.IDENTITY, np.eye(order))
 
 
 def build_transform(kind: TransformKind | str, order: int) -> TransformMatrix:
-    """Build a transform of the given kind from its order.
-
-    Hadamard and Haar orders must be powers of two in [2, 4096]; the other
-    kinds accept any order in [1, 4096].
-    """
+    """Build a transform of the given kind from an order that it admits (its check_order)."""
     try:
         kind = TransformKind(kind)
     except ValueError:
         raise InvalidOrderError(f"unknown transform kind {kind!r}") from None
+    kind.check_order(order)
     if kind in (TransformKind.HADAMARD, TransformKind.HAAR):
-        _check_order(order)
         n = int(order).bit_length() - 1
-        if (1 << n) != order or n < 1:
-            raise InvalidOrderError(
-                f"{kind.value} order must be a power of two >= 2, got {order}"
-            )
         return build_hadamard(n) if kind is TransformKind.HADAMARD else build_haar(n)
     if kind is TransformKind.DCT:
         return build_dct(order)

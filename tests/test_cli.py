@@ -398,6 +398,14 @@ class TestExitCodes:
                 lambda meta: meta["spec"]["left"][0].update(kept_row=4),
                 id="unknown-chain-entry-key",
             ),
+            pytest.param(
+                lambda meta: meta["spec"]["left"][0].update(order=48),
+                id="non-power-of-two-hadamard-order",
+            ),
+            pytest.param(
+                lambda meta: meta["spec"]["right"][0].update(order=5000),
+                id="order-beyond-cap",
+            ),
         ],
     )
     def test_malformed_bucket_sidecar_is_io_error(self, tmp_path, capsys, edit):
@@ -617,8 +625,10 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize(
-        "key, value", [("image", None), ("report", 5), ("buckets", "")],
-        ids=["null", "number", "empty"],
+        "key, value",
+        [("image", None), ("report", 5), ("buckets", ""), ("image", "/"), ("report", "."),
+         ("buckets", "a\0b.csv")],
+        ids=["null", "number", "empty", "root", "dot", "nul"],
     )
     def test_output_names_must_be_non_empty_strings(self, tmp_path, capsys, key, value):
         config = dict(BASE_CONFIG, outputs=dict(BASE_CONFIG["outputs"], **{key: value}))
@@ -628,6 +638,64 @@ class TestExitCodes:
         assert f"outputs.{key}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [{"image": "a.pgm", "buckets": "a.csv"},
+         {"image": "a.csv", "buckets": "a.csv"},
+         {"image": "r.pgm", "report": "r.csv"},
+         {"buckets": "b.csv", "report": "b.csv.json"},
+         {"image": "sub/../a.pgm", "buckets": "./a.csv"},
+         {"image": "a.pgm", "buckets": "{out}/a.csv"}],
+        ids=["image-csv-and-buckets", "csv-image-and-buckets", "image-csv-and-report",
+             "sidecar-and-report", "one-file-by-two-names", "absolute-and-relative"],
+    )
+    @pytest.mark.parametrize("command", ["run", "gen-object", "reconstruct", "metrics"])
+    def test_colliding_output_names_are_config_errors(self, tmp_path, capsys, outputs, command):
+        out = tmp_path / "out"
+        outputs = {key: name.format(out=out) for key, name in outputs.items()}
+        config = dict(BASE_CONFIG, outputs=dict(BASE_CONFIG["outputs"], **outputs))
+        config_path = write_config(tmp_path, config)
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: outputs: two of the files that run writes")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_csv_image_is_its_own_reconstruction_csv(self, tmp_path, capsys):
+        config = dict(BASE_CONFIG, outputs=dict(BASE_CONFIG["outputs"], image="recon.csv"))
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+        assert main(["metrics", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "buckets.csv", "buckets.csv.json", "recon.csv", "report.json"]
+
+    @pytest.mark.parametrize(
+        "height, width, side, chain, message",
+        [(48, 64, "left", [{"kind": "hadamard", "order": 48}],
+          "hybrid.left[0].order: hadamard order must be a power of two >= 2, got 48"),
+         (32, 96, "right", [{"kind": "haar", "order": 96}],
+          "hybrid.right[0].order: haar order must be a power of two >= 2, got 96"),
+         (48, 64, "left", [{"kind": "dct", "order": 48}, {"kind": "haar", "order": 48}],
+          "hybrid.left[1].order: haar order must be a power of two >= 2, got 48"),
+         (1, 64, "left", [{"kind": "hadamard", "order": 1}],
+          "hybrid.left[0].order: hadamard order must be a power of two >= 2, got 1"),
+         (32, 64, "left", [{"kind": "dct", "order": 5000, "sampling_rate": 0.5}],
+          "hybrid.left[0].order: order 5000 exceeds the dense cap 4096")],
+        ids=["hadamard-48", "haar-96", "second-chain-entry", "hadamard-1", "dct-beyond-cap"],
+    )
+    def test_unbuildable_order_is_config_error(
+        self, tmp_path, capsys, height, width, side, chain, message
+    ):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["object"].update(height=height, width=width)
+        config["hybrid"][side] = chain
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
 class TestFootprintCommand:
     def test_reference_numbers(self, capsys):

@@ -67,6 +67,59 @@ class TestPgm:
             fileio.read_pgm(path)
 
 
+PGM_WHITESPACE = b" \t\r\n\v\f"
+
+
+def byte_loop_next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The PGM header tokenizer as a loop over single bytes."""
+    while pos < len(data):
+        byte = data[pos : pos + 1]
+        if byte == b"#":
+            eol = data.find(b"\n", pos)
+            pos = len(data) if eol < 0 else eol + 1
+        elif byte in PGM_WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= len(data):
+        raise ImageParseError("unexpected end of PGM header", offset=pos)
+    start = pos
+    while pos < len(data) and data[pos : pos + 1] not in PGM_WHITESPACE:
+        pos += 1
+    return data[start:pos], pos
+
+
+def token_walk(next_token, data: bytes) -> tuple[list, str, int]:
+    """Every (token, end) of ``data`` in turn, then the error that ends the walk."""
+    tokens, pos = [], 0
+    while True:
+        try:
+            token, pos = next_token(data, pos)
+        except ImageParseError as exc:
+            return tokens, str(exc), exc.offset
+        tokens.append((token, pos))
+
+
+PGM_HEADERS = {
+    **{f"separator-{byte:#04x}": b"P5%c2%c1%c255%c\x07\x08" % ((byte,) * 4)
+       for byte in PGM_WHITESPACE},
+    "separator-runs": b" \t\r\n\v\fP5\r\n\r\n2\t\t1 \v255\f\f",
+    "comments": b"P5#c\n2 # one\r\n# two # three\n1\n#\n255\n\x00\x01",
+    "comment-at-eof": b"P5\n2 1\n# no newline",
+    "comment-only": b"#",
+    "hash-inside-a-token": b"P5\n2#x 1#\n255\n..",
+    "truncated-header": b"P5\n2 ",
+    "empty": b"",
+    "non-ascii-token": b"P5\n\xff\xfe 1 255\n\x80",
+}
+
+
+class TestPgmTokens:
+    @pytest.mark.parametrize("data", PGM_HEADERS.values(), ids=PGM_HEADERS.keys())
+    def test_tokens_equal_the_byte_loop(self, data):
+        assert token_walk(fileio._next_token, data) == token_walk(byte_loop_next_token, data)
+
+
 class TestCsvMatrix:
     def test_full_precision_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -290,6 +343,9 @@ ORACLE_CASES = {
     "bad-token-after-a-mib": MIB_OF_ROWS + b"1.0,x\n",
     "bad-byte-after-a-mib": MIB_OF_ROWS + b"1.0,\xff\n",
     "bad-byte-first-line": b"1,\xff2\n",
+    "bad-token-then-bad-byte-past-a-chunk": b"1.0,x\n" + MIB_OF_ROWS + b"\xff\n",
+    "bad-token-on-last-line-without-newline": b"1,2\n3, oops ",
+    "bad-first-token-on-last-line-without-newline": b"1+1j,2\r\n\nx,3",
     "ragged": b"1,2\n3\n",
     "ragged-complex": b"1j,2j\n3j,4j,5j\n",
     "ragged-after-blank": b"1,2\n\n3,4,\n",

@@ -133,6 +133,24 @@ class TestHaar:
                 r += 1
         assert r == 2**n
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_raw_rows_equal_the_row_loop_bytewise(self, n):
+        # tobytes tells -0.0 from +0.0, which array_equal does not.
+        order = 1 << n
+        rows = np.zeros((order, order))
+        rows[0] = 1.0
+        r = 1
+        for level in range(n):
+            support = order >> level
+            half = support >> 1
+            for k in range(1 << level):
+                start = k * support
+                rows[r, start : start + half] = 1.0
+                rows[r, start + half : start + support] = -1.0
+                r += 1
+        raw = haar_raw_rows(n)
+        assert raw.dtype == rows.dtype and raw.tobytes() == rows.tobytes()
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_raw_values_are_ternary(self, n):
         assert set(np.unique(haar_raw_rows(n))) <= {-1.0, 0.0, 1.0}
