@@ -47,7 +47,6 @@ from .reconstruct import (
     reconstruct_1d,
     reconstruct_2d,
     reconstruct_chain,
-    reconstruct_sub,
 )
 from .scenes import (
     Orientation,
@@ -74,13 +73,7 @@ from .simulator import (
 from .transforms import (
     TransformKind,
     TransformMatrix,
-    build_dct,
-    build_dft,
-    build_hadamard,
-    build_haar,
-    build_identity,
     build_transform,
-    haar_raw_rows,
     orthonormality_defect,
 )
 

@@ -44,9 +44,7 @@ def _read_config_json(args) -> tuple[object, Path]:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out) if args.out else Path.cwd()
 
 
 def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
@@ -54,7 +52,10 @@ def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneIma
     data, base_dir = _read_config_json(args)
     config = parse_config(with_overrides(data, sigma, seed))
     scene = config.object.build(base_dir)
-    return config, scene, config.outputs.resolved(_out_dir(args))
+    out = _out_dir(args)
+    paths = config.outputs.resolved(out)
+    out.mkdir(parents=True, exist_ok=True)  # only once the output names pass
+    return config, scene, paths
 
 
 def _acquire(config: ExperimentConfig, scene: SceneImage):
@@ -170,6 +171,7 @@ def cmd_sweep(args) -> int:
     })
     axes = [sweep.get("vary", {}).get(key, [None]) for key in VARY_AXES]
     out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / sweep.get("table", "sweep.csv")
     # The flags set the base, so that a varied axis wins over them.
     base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)

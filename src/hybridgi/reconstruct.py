@@ -81,10 +81,6 @@ def reconstruct_2d(
     return ReconstructionResult(image, None, scale * float(np.linalg.norm(residual)))
 
 
-# Sub-Nyquist recovery is the same inversion with truncated factors.
-reconstruct_sub = reconstruct_2d
-
-
 def reconstruct_chain(
     spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED
 ) -> ReconstructionResult:

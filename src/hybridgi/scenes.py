@@ -196,6 +196,8 @@ def save_image(scene: SceneImage, path) -> None:
     """Save a scene as PGM (quantized, clipped to range) or CSV (exact)."""
     path = Path(path)
     if path.suffix.lower() == ".pgm":
+        if not np.isfinite(scene.values).all():  # only a loaded scene can hold one
+            raise ParameterError("a PGM image needs finite values, got a NaN or infinite value")
         lo, hi = scene.range_tag.bounds
         clipped = np.clip(scene.values, lo, hi)
         raw = np.rint((clipped - lo) / (hi - lo) * 255.0).astype(np.uint8)

@@ -1,14 +1,15 @@
-"""Orthonormal transform matrix constructors.
+"""Orthonormal transform matrices and their one builder, build_transform(kind, order).
 
 Four dense transform families are supported: Walsh-Hadamard (Sylvester
 recursion, scaled orthonormal), DCT-II, Haar (constant row plus localized
-step-function rows, each row unit-normalized), and the unitary DFT. All
-builders emit row-orthonormal matrices: M @ M^H = I to better than 1e-10,
-where ^H is the conjugate transpose (plain transpose for the real kinds).
+step-function rows, each row unit-normalized), and the unitary DFT, plus
+the identity. Every kind is built from its order, and all are
+row-orthonormal: M @ M^H = I to better than 1e-10, where ^H is the
+conjugate transpose (plain transpose for the real kinds).
 
-Orders are capped at 4096 (2**12). Dense storage above that is rejected
-rather than silently slow. Hadamard and Haar orders are powers of two >= 2;
-TransformKind.check_order states the rule for every kind.
+TransformKind.check_order states the one order rule: a positive integer
+at most 4096, above which dense storage is rejected rather than silently
+slow, and a power of two >= 2 for Hadamard and Haar.
 
 Indexing is 0-based everywhere in this package.
 """
@@ -21,8 +22,7 @@ import numpy as np
 
 from .errors import InvalidOrderError
 
-MAX_EXPONENT = 12
-MAX_ORDER = 1 << MAX_EXPONENT
+MAX_ORDER = 4096
 
 
 class TransformKind(str, Enum):
@@ -88,92 +88,72 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_exponent(n: int) -> None:
-    if not _is_integer(n) or not 1 <= n <= MAX_EXPONENT:
-        raise InvalidOrderError(
-            f"exponent must be an integer in [1, {MAX_EXPONENT}], got {n!r}"
-        )
-
-
-def build_hadamard(n: int) -> TransformMatrix:
-    """Sylvester-recursive Walsh-Hadamard matrix of order 2**n.
+def _hadamard(order: int) -> np.ndarray:
+    """Sylvester-recursive Walsh-Hadamard matrix.
 
     Each recursion level doubles the order and applies a 1/sqrt(2)
-    prefactor, so every entry of the result is +-2**(-n/2) and the rows
-    are orthonormal by construction.
+    prefactor, so every entry of the result is +-1/sqrt(order) and the
+    rows are orthonormal by construction.
     """
-    _check_exponent(n)
     h = np.array([[1.0]])
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for _ in range(n):
+    while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]]) * inv_sqrt2
-    return TransformMatrix(TransformKind.HADAMARD, h)
+    return h
 
 
-def build_dct(order: int) -> TransformMatrix:
-    """Orthonormal DCT-II matrix of the given order.
+def _dct(order: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix.
 
     Entry (r, c) is coeff(r) * cos(r * pi * (c + 0.5) / order) with
     coeff(0) = sqrt(1/order) and coeff(r>0) = sqrt(2/order). Row 0 is the
     constant vector; every later row is zero-mean.
     """
-    TransformKind.DCT.check_order(order)
     r = np.arange(order, dtype=np.float64)
     coeff = np.full(order, math.sqrt(2.0 / order))
     coeff[0] = math.sqrt(1.0 / order)
-    entries = coeff[:, None] * np.cos(np.outer(r, r + 0.5) * (np.pi / order))
-    return TransformMatrix(TransformKind.DCT, entries)
+    return coeff[:, None] * np.cos(np.outer(r, r + 0.5) * (np.pi / order))
 
 
-def haar_raw_rows(n: int) -> np.ndarray:
-    """Unnormalized Haar basis rows for order 2**n, values in {-1, 0, 1}.
+def _haar(order: int) -> np.ndarray:
+    """Orthonormal Haar matrix.
 
-    Row 0 is the all-ones constant row. The remaining rows are the
-    localized step functions, ordered by increasing level j (support
-    width 2**(n-j)) and, within a level, by increasing translation k.
-    Level j contributes exactly 2**j rows, for a total of 2**n.
+    Row 0 is the constant row. The remaining rows are localized steps, +1
+    on the first half of their support and -1 on the second, ordered by
+    level (a level of ``count`` rows has support width order / count) and,
+    within a level, by translation. Each row is divided by its Euclidean
+    norm, the sqrt of its support width, so H @ H.T = I holds exactly.
     """
-    _check_exponent(n)
-    order = 1 << n
     rows = np.zeros((order, order))
     rows[0] = 1.0
-    for level in range(n):
-        count = 1 << level
+    count = 1
+    while count < order:
         # Row k of the level: its k-th block of columns, as a first and a second half.
         blocks = rows[count : 2 * count].reshape(count, count, 2, -1)
         blocks[np.arange(count), np.arange(count)] = [[1.0], [-1.0]]
-    return rows
+        count *= 2
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def build_haar(n: int) -> TransformMatrix:
-    """Orthonormal Haar matrix of order 2**n.
-
-    Each raw row from :func:`haar_raw_rows` is divided by its Euclidean
-    norm; the raw rows have unequal norms (sqrt of the support width), so
-    this per-row scaling is what makes H @ H.T = I hold exactly.
-    """
-    rows = haar_raw_rows(n)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return TransformMatrix(TransformKind.HAAR, rows / norms)
-
-
-def build_dft(order: int) -> TransformMatrix:
+def _dft(order: int) -> np.ndarray:
     """Unitary DFT matrix: entry (r, c) = exp(2j*pi*r*c/order) / sqrt(order).
 
     Complex valued for order >= 3. The acquisition simulator rejects
     complex patterns, so DFT factors are restricted to the ideal math path.
     """
-    TransformKind.DFT.check_order(order)
     idx = np.arange(order)
     entries = (2j * np.pi / order) * np.outer(idx, idx)
-    np.divide(np.exp(entries, out=entries), math.sqrt(order), out=entries)  # in place
-    return TransformMatrix(TransformKind.DFT, entries)
+    return np.divide(np.exp(entries, out=entries), math.sqrt(order), out=entries)  # in place
 
 
-def build_identity(order: int) -> TransformMatrix:
-    """Identity matrix: the ``identity`` kind of a config's chain entry."""
-    TransformKind.IDENTITY.check_order(order)
-    return TransformMatrix(TransformKind.IDENTITY, np.eye(order))
+# The entries of each kind that an order alone defines (all but composite).
+_BUILDERS = {
+    TransformKind.HADAMARD: _hadamard,
+    TransformKind.DCT: _dct,
+    TransformKind.HAAR: _haar,
+    TransformKind.DFT: _dft,
+    TransformKind.IDENTITY: np.eye,
+}
 
 
 def build_transform(kind: TransformKind | str, order: int) -> TransformMatrix:
@@ -183,16 +163,9 @@ def build_transform(kind: TransformKind | str, order: int) -> TransformMatrix:
     except ValueError:
         raise InvalidOrderError(f"unknown transform kind {kind!r}") from None
     kind.check_order(order)
-    if kind in (TransformKind.HADAMARD, TransformKind.HAAR):
-        n = int(order).bit_length() - 1
-        return build_hadamard(n) if kind is TransformKind.HADAMARD else build_haar(n)
-    if kind is TransformKind.DCT:
-        return build_dct(order)
-    if kind is TransformKind.DFT:
-        return build_dft(order)
-    if kind is TransformKind.IDENTITY:
-        return build_identity(order)
-    raise InvalidOrderError(f"cannot build a transform of kind {kind.value!r}")
+    if kind not in _BUILDERS:
+        raise InvalidOrderError(f"cannot build a transform of kind {kind.value!r}")
+    return TransformMatrix(kind, _BUILDERS[kind](order))
 
 
 def orthonormality_defect(t) -> float:

@@ -153,10 +153,10 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
         recon = fileio.read_csv_matrix(out / "recon.csv")
-        from hybridgi import build_dct, build_hadamard, truncate
+        from hybridgi import build_transform, truncate
 
-        left = truncate(build_hadamard(5), 29)
-        right = truncate(build_dct(64), 58)
+        left = truncate(build_transform("hadamard", 32), 29)
+        right = truncate(build_transform("dct", 64), 58)
         x = windmill(32, 64, 4).values
         projected = left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         assert np.max(np.abs(recon - projected)) < 1e-10
@@ -467,7 +467,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
         assert f"config error: {field}: unknown field" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "entry, got",
@@ -572,6 +572,17 @@ class TestExitCodes:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 3
         assert "nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scene_is_no_pgm_object(self, tmp_path, capsys, value):
+        # A NaN would be cast to an arbitrary byte, an Inf saturated to 0 or 255.
+        (tmp_path / "scene.csv").write_text(f"0.5,0.25\n{value},1\n")
+        config = dict(BASE_CONFIG, object={"path": "scene.csv", "range": "reflectance"})
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["gen-object", "--config", str(config_path), "--out", str(out)]) == 3
+        assert "a PGM image needs finite values" in capsys.readouterr().err
+        assert not (out / "object.pgm").exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "command, name", [("reconstruct", "buckets.csv"), ("metrics", "recon.csv")]
@@ -636,7 +647,7 @@ class TestExitCodes:
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
         assert f"outputs.{key}" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -659,7 +670,7 @@ class TestExitCodes:
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: outputs: two of the files that run writes")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_csv_image_is_its_own_reconstruction_csv(self, tmp_path, capsys):
         config = dict(BASE_CONFIG, outputs=dict(BASE_CONFIG["outputs"], image="recon.csv"))
@@ -695,7 +706,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 class TestFootprintCommand:
     def test_reference_numbers(self, capsys):

@@ -14,11 +14,6 @@ from hybridgi import (
     ResourceLimitError,
     ShapeError,
     TransformKind,
-    build_dct,
-    build_dft,
-    build_hadamard,
-    build_haar,
-    build_identity,
     build_transform,
     compose_chain,
     footprint_report,
@@ -64,13 +59,13 @@ def test_unvec_length_mismatch():
 
 class TestKron:
     def test_dimensions(self):
-        a = kron(build_hadamard(5), build_dct(16))
+        a = kron(build_transform("hadamard", 32), build_transform("dct", 16))
         assert (a.kept_rows, a.order) == (512, 512)
 
     def test_matches_hadamard_recursion(self):
-        d1 = build_hadamard(1)
+        d1 = build_transform("hadamard", 2)
         a = kron(d1, d1)
-        assert_allclose(a.entries, build_hadamard(2).entries, atol=1e-15)
+        assert_allclose(a.entries, build_transform("hadamard", 4).entries, atol=1e-15)
 
     @pytest.mark.parametrize("left_kind", KINDS)
     @pytest.mark.parametrize("right_kind", KINDS)
@@ -92,13 +87,14 @@ class TestKron:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_truncated_row_orthonormality(self):
-        a = kron(truncate(build_hadamard(3), 5), truncate(build_dct(4), 3))
+        a = kron(truncate(build_transform("hadamard", 8), 5),
+                 truncate(build_transform("dct", 4), 3))
         assert a.entries.shape == (15, 32)
         assert orthonormality_defect(a) < 1e-10
 
     def test_index_map(self):
-        left = truncate(build_haar(3), 6)
-        right = truncate(build_dct(4), 4)
+        left = truncate(build_transform("haar", 8), 6)
+        right = truncate(build_transform("dct", 4), 4)
         a = kron(left, right)
         for m in range(6):
             for i in range(8):
@@ -109,12 +105,13 @@ class TestKron:
                         )
 
     def test_entry_cap(self):
-        big = build_hadamard(12)
+        big = build_transform("hadamard", 4096)
         with pytest.raises(ResourceLimitError):
             kron(big, big)
 
     def test_is_a_composite_of_the_kept_rows(self):
-        a = kron(truncate(build_hadamard(3), 5), truncate(build_dct(4), 3))
+        a = kron(truncate(build_transform("hadamard", 8), 5),
+                 truncate(build_transform("dct", 4), 3))
         assert a.kind is TransformKind.COMPOSITE
         assert (a.order, a.kept_rows, a.entries.shape) == (32, 15, (15, 32))
         assert not a.entries.flags.writeable
@@ -122,12 +119,12 @@ class TestKron:
 
 class TestPattern:
     def test_constant_pattern(self):
-        d1 = build_hadamard(1)
+        d1 = build_transform("hadamard", 2)
         assert_allclose(pattern(d1, d1, 0, 0), np.full((2, 2), 0.5), atol=1e-15)
 
     def test_equals_kron_rows(self):
-        left = build_hadamard(3)
-        right = build_dct(4)
+        left = build_transform("hadamard", 8)
+        right = build_transform("dct", 4)
         a = kron(left, right)
         for m in range(8):
             for n in range(4):
@@ -135,8 +132,8 @@ class TestPattern:
                 assert np.array_equal(pattern(left, right, m, n), expected)
 
     def test_dot_product_gives_bucket_entry(self):
-        left = build_haar(3)
-        right = build_hadamard(2)
+        left = build_transform("haar", 8)
+        right = build_transform("hadamard", 4)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 4))
         buckets = left.entries @ x @ right.entries.T
@@ -146,8 +143,8 @@ class TestPattern:
                 assert abs(value - buckets[m, n]) < 1e-10
 
     def test_patterns_mutually_orthogonal(self):
-        left = build_dct(8)
-        right = build_haar(2)
+        left = build_transform("dct", 8)
+        right = build_transform("haar", 4)
         flat = [
             pattern(left, right, m, n).ravel() for m in range(8) for n in range(4)
         ]
@@ -155,7 +152,7 @@ class TestPattern:
         assert np.max(np.abs(gram - np.eye(32))) < 1e-10
 
     def test_out_of_range(self):
-        d2 = build_hadamard(1)
+        d2 = build_transform("hadamard", 2)
         with pytest.raises(IndexError):
             pattern(d2, d2, 2, 0)
         with pytest.raises(IndexError):
@@ -166,8 +163,8 @@ class TestComposeChain:
     def test_single_entry_chains_pass_through(self):
         spec = HybridSpec.pair("hadamard", 32, "dct", 16)
         left, right = compose_chain(spec)
-        assert np.array_equal(left.entries, build_hadamard(5).entries)
-        assert np.array_equal(right.entries, build_dct(16).entries)
+        assert np.array_equal(left.entries, build_transform("hadamard", 32).entries)
+        assert np.array_equal(right.entries, build_transform("dct", 16).entries)
         assert left.kind is TransformKind.HADAMARD
 
     def test_two_factor_product_order(self):
@@ -177,7 +174,7 @@ class TestComposeChain:
             (ChainEntry("haar", 8),),
         )
         left, _ = compose_chain(spec)
-        expected = build_dct(8).entries @ build_hadamard(3).entries
+        expected = build_transform("dct", 8).entries @ build_transform("hadamard", 8).entries
         assert_allclose(left.entries, expected, atol=1e-14)
         assert left.kind is TransformKind.COMPOSITE
 
@@ -210,7 +207,7 @@ class TestComposeChain:
             (ChainEntry("haar", 8),),
         )
         left, _ = compose_chain(spec)
-        full = build_dct(8).entries @ build_hadamard(3).entries
+        full = build_transform("dct", 8).entries @ build_transform("hadamard", 8).entries
         assert left.entries.shape == (5, 8)
         assert_allclose(left.entries, full[:5], atol=1e-14)
 
@@ -242,13 +239,13 @@ CHAINED = HybridSpec(
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: build_hadamard(3),
-        lambda: build_dct(5),
-        lambda: build_haar(2),
-        lambda: build_dft(3),
-        lambda: build_identity(4),
-        lambda: truncate(build_dct(6), 2),
-        lambda: kron(truncate(build_hadamard(2), 3), build_dft(3)),
+        lambda: build_transform("hadamard", 8),
+        lambda: build_transform("dct", 5),
+        lambda: build_transform("haar", 4),
+        lambda: build_transform("dft", 3),
+        lambda: build_transform("identity", 4),
+        lambda: truncate(build_transform("dct", 6), 2),
+        lambda: kron(truncate(build_transform("hadamard", 4), 3), build_transform("dft", 3)),
         lambda: compose_chain(CHAINED)[0],
         lambda: compose_chain(CHAINED)[1],
     ],
@@ -263,22 +260,22 @@ def test_order_is_the_width_of_the_entries(make):
 
 class TestTruncatedTransform:
     def test_full_reproduces_source(self):
-        src = build_dct(16)
+        src = build_transform("dct", 16)
         assert np.array_equal(truncate(src, src.order).entries, src.entries)
 
     def test_rows_stay_orthonormal(self):
-        t = truncate(build_haar(5), 29)
+        t = truncate(build_transform("haar", 32), 29)
         assert orthonormality_defect(t) < 1e-10
 
     def test_bad_kept_rows(self):
         with pytest.raises(ShapeError):
-            truncate(build_dct(8), 0)
+            truncate(build_transform("dct", 8), 0)
         with pytest.raises(ShapeError):
-            truncate(build_dct(8), 9)
+            truncate(build_transform("dct", 8), 9)
 
     @pytest.mark.parametrize("k", [1, 5, 8])
     def test_keeps_kind_order_and_first_rows(self, k):
-        src = build_dct(8)
+        src = build_transform("dct", 8)
         t = truncate(src, k)
         assert (t.kind, t.order, t.kept_rows) == (TransformKind.DCT, 8, k)
         assert np.array_equal(t.entries, src.entries[:k])
@@ -286,11 +283,11 @@ class TestTruncatedTransform:
 
     def test_cannot_keep_more_rows_than_it_holds(self):
         with pytest.raises(ShapeError, match=r"\[1, 5\], got 6"):
-            truncate(truncate(build_dct(8), 5), 6)
+            truncate(truncate(build_transform("dct", 8), 5), 6)
 
     def test_truncated_recovery_is_projection(self):
-        left = truncate(build_hadamard(5), 29)
-        right = truncate(build_dct(16), 13)
+        left = truncate(build_transform("hadamard", 32), 29)
+        right = truncate(build_transform("dct", 16), 13)
         a = kron(left, right)
         rng = np.random.default_rng(17)
         x = rng.normal(size=(32, 16))
@@ -311,7 +308,7 @@ class TestTruncatedTransform:
 ], ids=["forward", "kron", "pattern", "reconstruct_2d"])
 def test_non_factor_is_shape_error(call, bad):
     with pytest.raises(ShapeError, match="expected a transform factor"):
-        call(build_hadamard(2), bad)
+        call(build_transform("hadamard", 4), bad)
 
 
 class TestHybridSpec:

@@ -17,17 +17,12 @@ from hybridgi import (
     ShapeError,
     acquire,
     acquire_ideal,
-    build_dct,
-    build_dft,
-    build_hadamard,
-    build_haar,
-    build_identity,
+    build_transform,
     compose_chain,
     kron,
     reconstruct_1d,
     reconstruct_2d,
     reconstruct_chain,
-    reconstruct_sub,
     truncate,
     unvec,
     vec_rows,
@@ -58,18 +53,18 @@ def expression_reconstruction(left, right, values):
 
 class TestReconstruct1d:
     def test_orthonormal_roundtrip(self):
-        a = kron(build_hadamard(3), build_dct(4))
+        a = kron(build_transform("hadamard", 8), build_transform("dct", 4))
         rng = np.random.default_rng(0)
         x = rng.normal(size=32)
         assert np.max(np.abs(reconstruct_1d(a, a.entries @ x) - x)) < 1e-10
 
     def test_zeros(self):
-        a = kron(build_haar(2), build_haar(2))
+        a = kron(build_transform("haar", 4), build_transform("haar", 4))
         assert np.array_equal(reconstruct_1d(a, np.zeros(16)), np.zeros(16))
 
     def test_matches_2d_path(self):
-        left = build_dct(8)
-        right = build_haar(2)
+        left = build_transform("dct", 8)
+        right = build_transform("haar", 4)
         a = kron(left, right)
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -80,7 +75,7 @@ class TestReconstruct1d:
             assert np.max(np.abs(via_1d - via_2d)) < 1e-10
 
     def test_length_mismatch(self):
-        a = kron(build_hadamard(2), build_hadamard(2))
+        a = kron(build_transform("hadamard", 4), build_transform("hadamard", 4))
         with pytest.raises(ShapeError):
             reconstruct_1d(a, np.zeros(15))
 
@@ -101,8 +96,8 @@ class TestReconstruct2d:
     def test_single_coefficient_inversion(self):
         # Y with one unit entry reconstructs to the outer product of the
         # matching factor rows.
-        left = build_haar(3)
-        right = build_dct(4)
+        left = build_transform("haar", 8)
+        right = build_transform("dct", 4)
         y = np.zeros((8, 4))
         y[2, 3] = 1.0
         result = reconstruct_2d(left, right, y)
@@ -113,16 +108,17 @@ class TestReconstruct2d:
 
     def test_identity_factors_pass_through(self):
         y = np.arange(12.0).reshape(3, 4)
-        result = reconstruct_2d(build_identity(3), build_identity(4), y)
+        result = reconstruct_2d(build_transform("identity", 3), build_transform("identity", 4), y)
         assert np.array_equal(result.image.values, y)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            reconstruct_2d(build_hadamard(2), build_hadamard(2), np.zeros((2, 3)))
+            hadamard = build_transform("hadamard", 4)
+            reconstruct_2d(hadamard, hadamard, np.zeros((2, 3)))
 
     def test_noise_linearity(self):
-        left = build_dct(8)
-        right = build_hadamard(3)
+        left = build_transform("dct", 8)
+        right = build_transform("hadamard", 8)
         rng = np.random.default_rng(3)
         y = rng.normal(size=(8, 8))
         e = rng.normal(size=(8, 8))
@@ -136,7 +132,8 @@ class TestReconstruct2d:
     def test_residual_is_that_of_the_returned_real_image(self):
         # Complex buckets on dft factors: L^H Y R is complex, and its dropped
         # imaginary part shows up in the residual of the real image returned.
-        left, right = truncate(build_dft(16), 12), truncate(build_dft(16), 10)
+        dft = build_transform("dft", 16)
+        left, right = truncate(dft, 12), truncate(dft, 10)
         rng = np.random.default_rng(11)
         y = rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))
         result = reconstruct_2d(left, right, y)
@@ -172,7 +169,7 @@ class TestReconstruct2d:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_recovery_is_an_error(self):
-        left, right = build_hadamard(3), build_dct(4)
+        left, right = build_transform("hadamard", 8), build_transform("dct", 4)
         with pytest.raises(ValueOverflowError, match="reconstruction of the buckets overflows"):
             reconstruct_2d(left, right, np.full((8, 4), 1.7e308))
 
@@ -181,7 +178,7 @@ class TestReconstruct2d:
         y = np.zeros((8, 4))
         y[2, 1] = value
         with pytest.raises(ParameterError, match="bucket values must be finite"):
-            reconstruct_2d(build_hadamard(3), build_dct(4), y)
+            reconstruct_2d(build_transform("hadamard", 8), build_transform("dct", 4), y)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
     @pytest.mark.parametrize("buckets", ["real", "complex"])
@@ -219,25 +216,23 @@ class TestReconstruct2d:
         assert peak <= 3.75 * (1 << 20)
 
 
-class TestReconstructSub:
+class TestSubNyquist:
     def test_full_kept_rows_degenerates_to_2d(self):
-        left = build_haar(4)
-        right = build_dct(8)
+        left = build_transform("haar", 16)
+        right = build_transform("dct", 8)
         rng = np.random.default_rng(4)
         y = rng.normal(size=(16, 8))
-        sub = reconstruct_sub(
-            truncate(left, 16), truncate(right, 8), y
-        ).image.values
+        sub = reconstruct_2d(truncate(left, 16), truncate(right, 8), y).image.values
         full = reconstruct_2d(left, right, y).image.values
         assert np.max(np.abs(sub - full)) < 1e-12
 
     def test_projection_oracle(self):
-        left = truncate(build_hadamard(5), 29)
-        right = truncate(build_dct(64), 58)
+        left = truncate(build_transform("hadamard", 32), 29)
+        right = truncate(build_transform("dct", 64), 58)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (32, 64))
         y = left.entries @ x @ right.entries.T
-        recovered = reconstruct_sub(left, right, y).image.values
+        recovered = reconstruct_2d(left, right, y).image.values
         projected = (
             left.entries.T @ left.entries @ x @ right.entries.T @ right.entries
         )
@@ -262,9 +257,9 @@ class TestReconstructSub:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            reconstruct_sub(
-                truncate(build_hadamard(3), 5),
-                truncate(build_dct(4), 3),
+            reconstruct_2d(
+                truncate(build_transform("hadamard", 8), 5),
+                truncate(build_transform("dct", 4), 3),
                 np.zeros((5, 4)),
             )
 
@@ -275,7 +270,8 @@ class TestReconstructChain:
         rng = np.random.default_rng(7)
         y = rng.normal(size=(8, 8))
         via_chain = reconstruct_chain(spec, y).image.values
-        via_2d = reconstruct_2d(build_dct(8), build_haar(3), y).image.values
+        left, right = build_transform("dct", 8), build_transform("haar", 8)
+        via_2d = reconstruct_2d(left, right, y).image.values
         assert np.max(np.abs(via_chain - via_2d)) < 1e-12
 
     def test_two_by_two_chain_roundtrip(self):
@@ -325,7 +321,7 @@ class TestDftIdealPath:
         assert np.max(np.abs(result.image.values - x)) < 1e-10
 
     def test_1d_path_with_dft(self):
-        a = kron(build_dft(4), build_dft(4))
+        a = kron(build_transform("dft", 4), build_transform("dft", 4))
         rng = np.random.default_rng(12)
         x = rng.normal(size=16)
         recovered = reconstruct_1d(a, a.entries @ x)

@@ -13,9 +13,7 @@ from hybridgi import (
     SceneImage,
     StripeSpec,
     acquire,
-    build_dct,
-    build_hadamard,
-    build_haar,
+    build_transform,
     count_significant,
     load_image,
     save_image,
@@ -101,8 +99,8 @@ class TestStripes:
 
 class TestSeparableObject:
     def test_hadamard_pair_binarized(self):
-        left = build_hadamard(5)
-        right = build_hadamard(4)
+        left = build_transform("hadamard", 32)
+        right = build_transform("hadamard", 16)
         scene = separable_object(left, right, 3, 7, binarize=True)
         assert set(np.unique(scene.values)) == {-1.0, 1.0}
         assert scene.range_tag is RangeTag.SIGNED
@@ -110,34 +108,36 @@ class TestSeparableObject:
     @pytest.mark.parametrize("m,n", [(0, 0), (3, 2), (7, 3)])
     def test_acquire_single_peak_at_index(self, m, n):
         spec = HybridSpec.pair("hadamard", 8, "hadamard", 4)
-        scene = separable_object(build_hadamard(3), build_hadamard(2), m, n, True)
+        left, right = build_transform("hadamard", 8), build_transform("hadamard", 4)
+        scene = separable_object(left, right, m, n, True)
         buckets = acquire(spec, scene, NoiseModel(0.0, 0))
         count, positions = count_significant(buckets, 1e-6)
         assert count == 1 and positions[0] == (m, n)
 
     def test_constant_image_from_first_rows(self):
-        scene = separable_object(build_hadamard(5), build_hadamard(4), 0, 0)
+        left, right = build_transform("hadamard", 32), build_transform("hadamard", 16)
+        scene = separable_object(left, right, 0, 0)
         assert np.allclose(scene.values, 1.0)
 
     def test_dct_column_factor_single_peak(self):
         spec = HybridSpec.pair("haar", 8, "dct", 4)
-        scene = separable_object(build_haar(3), build_dct(4), 5, 2)
+        scene = separable_object(build_transform("haar", 8), build_transform("dct", 4), 5, 2)
         buckets = acquire(spec, scene, NoiseModel(0.0, 0))
         count, positions = count_significant(buckets, 1e-6)
         assert count == 1 and positions[0] == (5, 2)
 
     def test_max_abs_is_one(self):
-        scene = separable_object(build_dct(8), build_dct(4), 3, 1)
+        scene = separable_object(build_transform("dct", 8), build_transform("dct", 4), 3, 1)
         assert np.max(np.abs(scene.values)) == pytest.approx(1.0)
 
     def test_binarize_zero_rows_rejected(self):
-        left = build_haar(3)  # row 2 has zeros
+        left = build_transform("haar", 8)  # row 2 has zeros
         with pytest.raises(DegenerateBinarizationError):
-            separable_object(left, build_hadamard(2), 2, 0, binarize=True)
+            separable_object(left, build_transform("hadamard", 4), 2, 0, binarize=True)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            separable_object(build_hadamard(2), build_hadamard(2), 4, 0)
+            separable_object(build_transform("hadamard", 4), build_transform("hadamard", 4), 4, 0)
 
 
 class TestWindmill:

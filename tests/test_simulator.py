@@ -282,9 +282,9 @@ class TestAcquire:
     def test_separable_scene_single_unit_peak(self):
         # Unscaled outer product of factor rows lights up exactly one bucket
         # with value 1.
-        from hybridgi import build_hadamard, pattern as make_pattern
+        from hybridgi import build_transform, pattern as make_pattern
 
-        left = build_hadamard(3)
+        left = build_transform("hadamard", 8)
         scene = SceneImage(make_pattern(left, left, 3, 5), RangeTag.SIGNED)
         spec = HybridSpec.pair("hadamard", 8, "hadamard", 8)
         buckets = acquire(spec, scene, NoiseModel(0.0, 0)).values
