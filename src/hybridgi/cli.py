@@ -52,10 +52,12 @@ def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneIma
     data, base_dir = _read_config_json(args)
     config = parse_config(with_overrides(data, sigma, seed))
     scene = config.object.build(base_dir)
-    out = _out_dir(args)
-    paths = config.outputs.resolved(out)
-    out.mkdir(parents=True, exist_ok=True)  # only once the output names pass
-    return config, scene, paths
+    return config, scene, config.outputs.resolved(_out_dir(args))
+
+
+def _make_out_dir(args) -> None:
+    """Make the --out directory: right before a command's first write, so a failure leaves none."""
+    _out_dir(args).mkdir(parents=True, exist_ok=True)
 
 
 def _acquire(config: ExperimentConfig, scene: SceneImage):
@@ -101,15 +103,22 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage,
     except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
     if paths is not None:
-        fileio.write_buckets(paths.buckets, buckets)
-        _write_reconstruction(result.image, paths)
-        _write_report(config, paths.report, report, residual_norm=result.residual_norm)
+        _export_run(config, paths, buckets, result, report)
     return scene, buckets, result, report
+
+
+def _export_run(config: ExperimentConfig, paths: OutputPaths, buckets, result, report) -> None:
+    """The files of a run: the buckets, the reconstruction and the report."""
+    fileio.write_buckets(paths.buckets, buckets)
+    _write_reconstruction(result.image, paths)
+    _write_report(config, paths.report, report, residual_norm=result.residual_norm)
 
 
 def cmd_run(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
-    _, _, _, report = run_experiment(config, scene, paths)
+    _, buckets, result, report = run_experiment(config, scene)
+    _make_out_dir(args)
+    _export_run(config, paths, buckets, result, report)
     if not args.quiet:
         print(_summary_line(config, report))
     return 0
@@ -117,6 +126,8 @@ def cmd_run(args) -> int:
 
 def cmd_gen_object(args) -> int:
     _, scene, paths = _load_stage(args)
+    scenes.image_path(scene, paths.object)  # a scene that cannot be saved fails before --out
+    _make_out_dir(args)
     scenes.save_image(scene, paths.object)
     if not args.quiet:
         print(f"object {scene.height}x{scene.width} -> {paths.object}")
@@ -126,6 +137,7 @@ def cmd_gen_object(args) -> int:
 def cmd_acquire(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
     buckets = _acquire(config, scene)
+    _make_out_dir(args)
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
         print(
@@ -139,6 +151,7 @@ def cmd_reconstruct(args) -> int:
     _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
+    _make_out_dir(args)
     _write_reconstruction(result.image, paths)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
@@ -150,6 +163,7 @@ def cmd_metrics(args) -> int:
     recon = fileio.read_finite_matrix(paths.image_csv)
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
+    _make_out_dir(args)
     _write_report(config, paths.report, report)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -170,9 +184,7 @@ def cmd_sweep(args) -> int:
         "table": as_file_name,
     })
     axes = [sweep.get("vary", {}).get(key, [None]) for key in VARY_AXES]
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / sweep.get("table", "sweep.csv")
+    table_path = _out_dir(args) / sweep.get("table", "sweep.csv")
     # The flags set the base, so that a varied axis wins over them.
     base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)
     rows = []
@@ -203,6 +215,7 @@ def cmd_sweep(args) -> int:
             row.update(status="error", message=str(exc))
         rows.append(row)
 
+    _make_out_dir(args)
     with open(table_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
         writer.writeheader()

@@ -267,7 +267,11 @@ def _parse_chain(entries, path: str) -> tuple[ChainEntry, ...]:
                 raise ConfigError(entry_path, "give kept_rows or sampling_rate, not both")
             # A rate is a fraction of the order, so the order must be within float range.
             order = as_number(entry["order"], f"{entry_path}.order")
-            entry["kept_rows"] = resolve_kept_rows(entry.pop("sampling_rate"), order)
+            rate = entry.pop("sampling_rate")
+            entry["kept_rows"] = resolve_kept_rows(rate, order)
+            if entry["kept_rows"] < 1 <= order:  # an order below 1 is the order's error
+                raise ConfigError(f"{entry_path}.sampling_rate",
+                                  f"{rate} of order {entry['order']} rounds to 0 kept rows")
         chain.append(ChainEntry(**entry))
     return tuple(chain)
 
@@ -294,9 +298,37 @@ def forward(left, right, x) -> np.ndarray:
     """The forward model Y = L @ X @ R^H of a factor pair.
 
     Entry (m, n) is the bucket of measurement (m, n): the dot product of
-    the scene with pattern(left, right, m, n).
+    the scene with pattern(left, right, m, n). A real X with exactly one
+    complex factor runs in real arithmetic (see _split_product).
     """
-    return as_factor(left).entries @ x @ as_factor(right).entries.conj().T
+    left, right = as_factor(left).entries, as_factor(right).entries
+    if np.iscomplexobj(left) != np.iscomplexobj(right) and not np.iscomplexobj(x):
+        return _split_product(left, right, x)
+    return left @ x @ right.conj().T
+
+
+def _split_product(left, right, x, inverse: bool = False) -> np.ndarray:
+    """L X R^H for a real X, or real(L^H X R) if ``inverse``, in real matmuls.
+
+    Exactly one of the entry arrays L, R is complex and enters as its real
+    and imaginary planes: Y = (L X) Rr^T - i (L X) Ri^T is written into the
+    halves of one complex output, the inverse is L^T (Xr Rr - Xi Ri), and a
+    complex L mirrors both: Lr (X R^T) + i Li (X R^T), (Lr^T Xr + Li^T Xi) R.
+    """
+    if inverse and np.iscomplexobj(right):
+        return left.T @ (x.real @ right.real - x.imag @ right.imag)
+    if inverse:
+        return (left.real.T @ x.real + left.imag.T @ x.imag) @ right
+    y = np.empty((left.shape[0], right.shape[0]), np.complex128)
+    if np.iscomplexobj(right):
+        lx = left @ x
+        np.matmul(lx, right.real.T, out=y.real)
+        np.negative(np.matmul(lx, right.imag.T, out=y.imag), out=y.imag)
+    else:
+        xr = x @ right.T
+        np.matmul(left.real, xr, out=y.real)
+        np.matmul(left.imag, xr, out=y.imag)
+    return y
 
 
 def kron(left, right) -> TransformMatrix:

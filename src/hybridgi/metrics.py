@@ -9,6 +9,8 @@ from .errors import ParameterError, ShapeError, ValueOverflowError
 from .simulator import RangeTag, SceneImage
 
 SSIM_WINDOW = 8
+# Rows of windows that ssim scores at once: its working set is a few strips, not planes.
+SSIM_STRIP = 64
 # Default threshold of the bucket sparsity count, relative to the largest magnitude.
 SIGNIFICANCE_REL_TOL = 1e-6
 # An exact recovery's rms error bound, in eps * peak per pixel of the larger
@@ -108,7 +110,9 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
 
     Uniform windows with the usual stabilizers c1 = (0.01 * peak)^2 and
     c2 = (0.03 * peak)^2; window statistics use the unbiased (n - 1)
-    normalization. The compared region must be at least 8x8.
+    normalization. The compared region must be at least 8x8. Windows are
+    scored in strips of SSIM_STRIP rows of windows, so that the statistics
+    live one strip at a time beside the one plane of per-window values.
     """
     _require_peak(peak)
     a, b = _pair(reference, test, roi)
@@ -123,31 +127,27 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
             f"the SSIM window statistics overflow at peak {peak}: "
             "the product c1 * c2 of its stabilizers is not finite"
         )
-    with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
-        # Each statistic is its textbook expression op for op, built in place: at most
-        # seven planes live at once, four held while a product's window sums take three.
-        sum_b = _window_sums(b)
-        mu_b = sum_b / n
-        var_b = _window_sums(b * b)
-        var_b -= np.multiply(sum_b, mu_b, out=sum_b)
-        sum_a = _window_sums(a)
-        cov = _window_sums(a * b)
-        cov -= np.multiply(sum_a, mu_b, out=sum_b)
-        del sum_b
-        var_a = _window_sums(a * a)
-        mu_a = sum_a / n
-        var_a -= np.multiply(sum_a, mu_a, out=sum_a)
-        for plane in (var_a, var_b, cov):
-            plane /= n - 1
-        var_a += var_b  # the denominator's var_a + var_b + c2
-        var_a += c2
-        del sum_a, var_b
-        denominator = (mu_a**2 + mu_b**2 + c1) * var_a
-        del var_a
-        per_window = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / denominator
-    if not denominator.all():  # a flat window of zeros has the denominator c1 * c2
+    rows = a.shape[0] - SSIM_WINDOW + 1
+    per_window = np.empty((rows, a.shape[1] - SSIM_WINDOW + 1))
+    nonzero = finite = True
+    for top in range(0, rows, SSIM_STRIP):
+        stop = min(top + SSIM_STRIP, rows)
+        strip_a, strip_b = a[top : stop + SSIM_WINDOW - 1], b[top : stop + SSIM_WINDOW - 1]
+        with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
+            # The textbook expressions, which take the same operations on every strip.
+            sum_a, sum_b = _window_sums(strip_a), _window_sums(strip_b)
+            mu_a, mu_b = sum_a / n, sum_b / n
+            var_a = (_window_sums(strip_a * strip_a) - sum_a * mu_a) / (n - 1)
+            var_b = (_window_sums(strip_b * strip_b) - sum_b * mu_b) / (n - 1)
+            cov = (_window_sums(strip_a * strip_b) - sum_a * mu_b) / (n - 1)
+            denominator = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+            np.divide((2 * mu_a * mu_b + c1) * (2 * cov + c2), denominator,
+                      out=per_window[top:stop])
+        nonzero &= bool(denominator.all())  # a flat window of zeros has the denominator c1 * c2
+        finite &= bool(np.isfinite(denominator).all())
+    if not nonzero:
         raise ParameterError(f"the SSIM stabilizers' product c1 * c2 underflows at peak {peak}")
-    if not (np.isfinite(denominator).all() and np.isfinite(per_window).all()):
+    if not (finite and np.isfinite(per_window).all()):
         raise ValueOverflowError("the SSIM window statistics of the compared images overflow")
     return float(per_window.mean())
 

@@ -130,3 +130,18 @@ def test_bad_sidecar_value_exits_with_a_documented_code(tmp_path, capsys, acquir
             if command == "metrics" and code == 0:
                 assert_strict_report(config_path, out)
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rate_that_rounds_to_no_rows_names_its_sampling_rate(tmp_path, capsys, side):
+    # A rate of 0.005 keeps 0.16 of 32 rows on the left, 0.32 of 64 on the right: none.
+    data = read_config("windmill_sub_nyquist.json")
+    data["hybrid"][side][0]["sampling_rate"] = 0.005
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert exit_code(["run", "--config", str(config_path), "--out", str(out)], 0.005) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: hybrid.{side}[0].sampling_rate: ")
+    assert "rounds to 0 kept rows" in err and "kept_rows" not in err
+    assert not out.exists()

@@ -470,17 +470,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "entry, got",
-        [({"kept_rows": 40}, 40), ({"kept_rows": 0}, 0), ({"sampling_rate": 0.01}, 0)],
+        "entry, message",
+        [({"kept_rows": 40}, "hybrid: left chain kept_rows must be in [1, 32], got 40"),
+         ({"kept_rows": 0}, "hybrid: left chain kept_rows must be in [1, 32], got 0"),
+         # A rate that rounds to no rows is the fault of the rate, not of kept_rows.
+         ({"sampling_rate": 0.01},
+          "hybrid.left[0].sampling_rate: 0.01 of order 32 rounds to 0 kept rows")],
         ids=["above-order", "zero", "rate-resolves-to-zero"],
     )
-    def test_kept_rows_out_of_range_is_config_error(self, tmp_path, capsys, entry, got):
+    def test_kept_rows_out_of_range_is_config_error(self, tmp_path, capsys, entry, message):
         config = json.loads(json.dumps(BASE_CONFIG))
         config["hybrid"]["left"][0] = {"kind": "hadamard", "order": 32, **entry}
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"hybrid: left chain kept_rows must be in [1, 32], got {got}" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "entry",
@@ -582,6 +586,29 @@ class TestExitCodes:
         assert main(["gen-object", "--config", str(config_path), "--out", str(out)]) == 3
         assert "a PGM image needs finite values" in capsys.readouterr().err
         assert not (out / "object.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "command, obj, code, message",
+        [("gen-object", {"path": "scene.csv", "range": "reflectance"}, 3,
+          "a PGM image needs finite values"),
+         ("run", dict(SEPARABLE, left_order=4, right_order=4), 3, "smaller than the 8x8"),
+         ("reconstruct", BASE_CONFIG["object"], 2, "buckets.csv")],
+        ids=["gen-object-nan-scene", "run-4x4-separable", "reconstruct-no-buckets"],
+    )
+    def test_failing_command_makes_no_out_directory(self, tmp_path, capsys, command, obj,
+                                                    code, message):
+        # Each fails only after its config passes, and the separable run only
+        # once it scores: --out is made at the first write, which never comes.
+        (tmp_path / "scene.csv").write_text("0.5,0.25\nnan,1\n")
+        hybrid = {"left": [{"kind": "hadamard", "order": 4}],
+                  "right": [{"kind": "dct", "order": 4}]}
+        config = dict(BASE_CONFIG, object=obj,
+                      **({"hybrid": hybrid} if obj.get("generator") == "separable" else {}))
+        config_path = write_config(tmp_path, config)
+        out = tmp_path / "out" / "nested"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Measurement matrix, vectorization, pattern, and chain tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -420,3 +422,22 @@ class TestFootprint:
     def test_invalid(self):
         with pytest.raises(ShapeError):
             footprint_report(0, 4)
+
+
+@pytest.mark.parametrize("dft_side", ["left", "right"])
+def test_forward_memory_on_256_squared(dft_side):
+    # A real factor (192 kept rows) by a dft runs in real arithmetic: the real
+    # product with the scene (0.375 or 0.5 MiB) and the complex output (0.75
+    # MiB), no complex copy of either factor. About 1.13 MiB; the bound leaves
+    # 0.12 MiB.
+    real, dft = truncate(build_transform("dct", 256), 192), build_transform("dft", 256)
+    left, right = (dft, real) if dft_side == "left" else (real, dft)
+    x = np.random.default_rng(17).uniform(0.0, 1.0, (256, 256))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward(left, right, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (1 << 20)

@@ -159,10 +159,11 @@ def _window_sums_stacked(x):
 
 class TestSsimPlanes:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40), (256, 256)])
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40), (72, 9), (256, 256)])
     def test_per_plane_sums_equal_stacked_sums_bitwise(self, seed, shape):
-        # ssim builds its statistics in place; stacked_ssim evaluates each one
-        # as a single expression of whole planes. Signed values, then a roi.
+        # ssim evaluates its statistics one strip of window rows at a time;
+        # stacked_ssim evaluates each one as a single expression of whole
+        # planes. Signed values, then a roi.
         rng = np.random.default_rng(seed)
         a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
         b = a + rng.normal(scale=0.1, size=shape)
@@ -177,8 +178,9 @@ class TestSsimPlanes:
         assert ssim(a, b, peak, roi) == stacked_ssim(a[top:, left:], b[top:, left:], peak)
 
     def test_memory_on_256_squared(self):
-        # The window sums of a product (the product, its column sums and the
-        # sums) over four held statistics: about seven 0.5-MiB planes, 3.4 MiB.
+        # The 249x249 per-window plane (0.47 MiB) beside the statistics and
+        # temporaries of one strip of 64 window rows (about 0.12 MiB each),
+        # never whole planes of them. About 1.84 MiB; the bound leaves 0.16 MiB.
         rng = np.random.default_rng(9)
         a, b = rng.random((256, 256)), rng.random((256, 256))  # 0.5 MiB each
         tracemalloc.start()
@@ -188,7 +190,7 @@ class TestSsimPlanes:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * (1 << 20)
+        assert peak <= 2.0 * (1 << 20)
 
 
 class TestLargeValues:

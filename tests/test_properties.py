@@ -41,6 +41,7 @@ from hybridgi import (
     pattern,
     quality_report,
     reconstruct_1d,
+    reconstruct_2d,
     reconstruct_chain,
     ssim,
     vec_rows,
@@ -144,6 +145,30 @@ def test_reconstruct_1d_inverts_acquire_ideal(left_kind, right_kind):
     y = vec_rows(acquire_ideal(spec, scene).values)
     recovered = reconstruct_1d(kron(left, right), y)
     assert np.max(np.abs(recovered - vec_rows(scene))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dft_side", ["left", "right"])
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+@pytest.mark.parametrize("buckets", ["real", "complex"])
+def test_real_by_dft_products_equal_the_dense_model(seed, dft_side, truncated, buckets):
+    # A real factor by a dft runs forward and inverse in real arithmetic:
+    # the dense kron(L, conj(R)) and the complex real(L^H Y R) are the oracles.
+    rng = np.random.default_rng([seed, ("left", "right").index(dft_side), truncated])
+    real_kind = REAL_KINDS[rng.integers(len(REAL_KINDS))]
+    height, width = (int(ORDERS[i]) for i in rng.integers(len(ORDERS), size=2))
+    kinds = ("dft", real_kind) if dft_side == "left" else (real_kind, "dft")
+    kept = [int(rng.integers(1, order + 1)) if truncated else order
+            for order in (height, width)]
+    left, right = compose_chain(HybridSpec.pair(kinds[0], height, kinds[1], width, *kept))
+    x = rng.uniform(-1.0, 1.0, (height, width))
+    dense = np.kron(left.entries, right.entries.conj()) @ vec_rows(x)
+    assert np.max(np.abs(vec_rows(forward(left, right, x)) - dense)) < 1e-12
+    y = rng.normal(size=(left.kept_rows, right.kept_rows))
+    if buckets == "complex":
+        y = y + 1j * rng.normal(size=y.shape)
+    image = reconstruct_2d(left, right, y).image.values
+    assert np.max(np.abs(image - np.real(left.entries.conj().T @ y @ right.entries))) < 1e-12
 
 
 @cases

@@ -185,7 +185,9 @@ class TestReconstruct2d:
     @pytest.mark.parametrize("exponent", [0, 900])
     def test_image_and_residual_equal_the_expressions_bitwise(self, spec, buckets, exponent):
         # Real buckets meet complex fitted values on dft factors, and complex
-        # buckets meet real ones on real factors.
+        # buckets meet real ones on real factors. A pair with exactly one dft
+        # runs in real arithmetic, which rounds apart from the complex
+        # expressions: there they agree to 1e-12 of the bucket scale.
         left, right = compose_chain(spec)
         rng = np.random.default_rng(15)
         y = rng.normal(size=(left.kept_rows, right.kept_rows))
@@ -194,13 +196,19 @@ class TestReconstruct2d:
         y *= 2.0**exponent
         result = reconstruct_2d(left, right, y)
         image, residual_norm = expression_reconstruction(left, right, y)
-        assert result.image.values.tobytes() == image.tobytes()
-        assert result.residual_norm == residual_norm
+        if np.iscomplexobj(left.entries) != np.iscomplexobj(right.entries):
+            assert_allclose(result.image.values, image, rtol=0, atol=1e-12 * 2.0**exponent)
+            assert result.residual_norm == pytest.approx(residual_norm, rel=0,
+                                                         abs=1e-12 * 2.0**exponent)
+        else:
+            assert result.image.values.tobytes() == image.tobytes()
+            assert result.residual_norm == residual_norm
 
     def test_memory_on_256_squared(self):
-        # Hadamard then dct at rate 0.75 (192 kept rows) by a dft: the complex
-        # L^H Y R dies once its real part is copied, and the residual takes one
-        # buffer. About 3.4 MiB, beside the 0.75-MiB buckets.
+        # Hadamard then dct at rate 0.75 (192 kept rows) by a dft, in real
+        # arithmetic: the image (0.5 MiB), the complex fitted values and the
+        # residual buffer (0.75 MiB each) are the peak. About 2.0 MiB, beside the
+        # 0.75-MiB buckets; the bound leaves 0.25 MiB.
         spec = HybridSpec(
             (ChainEntry("hadamard", 256), ChainEntry("dct", 256, 192)), (ChainEntry("dft", 256),)
         )
@@ -213,7 +221,7 @@ class TestReconstruct2d:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3.75 * (1 << 20)
+        assert peak <= 2.25 * (1 << 20)
 
 
 class TestSubNyquist:

@@ -1,5 +1,7 @@
 """Scene generator and image I/O tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,32 @@ class TestImageIO:
         save_image(scene, path)
         loaded = load_image(path, RangeTag.SIGNED)
         assert np.max(np.abs(loaded.values - values)) <= 2.0 / 255.0 / 2.0 + 1e-12
+
+    @pytest.mark.parametrize("range_tag", list(RangeTag))
+    def test_pgm_levels_equal_the_whole_array_expression(self, tmp_path, range_tag):
+        # save_image quantizes in its clip buffer; each level is still
+        # rint((clip(x) - lo) / (hi - lo) * 255), op for op.
+        values = np.random.default_rng(18).uniform(-1.5, 1.5, (37, 23))
+        values[0, :3] = (0.5 / 255.0, 1.5 / 255.0, 127.5 / 255.0)  # halfway levels
+        path = tmp_path / "img.pgm"
+        save_image(SceneImage(values, range_tag), path)
+        lo, hi = range_tag.bounds
+        levels = np.rint((np.clip(values, lo, hi) - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        assert path.read_bytes() == b"P5\n23 37\n255\n" + levels.tobytes()
+
+    def test_pgm_memory_on_256_squared(self, tmp_path):
+        # The clip buffer (0.5 MiB), quantized in place, and the 64-KiB levels
+        # with their bytes: about 0.69 MiB; the bound leaves 0.06 MiB.
+        scene = SceneImage(np.random.default_rng(19).uniform(-1.2, 1.2, (256, 256)),
+                           RangeTag.SIGNED)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_image(scene, tmp_path / "img.pgm")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * (1 << 20)
 
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
