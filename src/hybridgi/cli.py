@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fileio, scenes
-from .config import ExperimentConfig, OutputPaths, parse_config, with_overrides
+from .config import ExperimentConfig, OutputPaths, _parse_object, parse_config, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
 from .measurement import HybridSpec, as_file_name, as_object, fields, footprint_report
 from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
@@ -187,6 +187,10 @@ def cmd_sweep(args) -> int:
     table_path = _out_dir(args) / sweep.get("table", "sweep.csv")
     # The flags set the base, so that a varied axis wins over them.
     base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)
+    try:  # no axis varies the object: one build, whose error each row that parses records
+        scene = _parse_object(base.get("object"), "object").build(base_dir)
+    except (HybridGIError, OSError) as exc:
+        scene = exc
     rows = []
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
         raw = dict(base)
@@ -203,7 +207,9 @@ def cmd_sweep(args) -> int:
                 sigma=config.noise.sigma,
                 seed=config.noise.seed,
             )
-            _, _, _, report = run_experiment(config, config.object.build(base_dir))
+            if isinstance(scene, Exception):
+                raise scene
+            _, _, _, report = run_experiment(config, scene)
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",

@@ -8,22 +8,22 @@ same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
-stream. The module keeps no state: ``acquire`` streams one local Philox
-per acquisition, one block of draws per left row of buckets, and
-``project`` draws the same value one call at a time.
+stream. The module keeps no state.
 
-``acquire`` checks the factor shapes, the scene's range, that no factor
-is complex and that no pattern scale is zero once per acquisition. It never
-forms a pattern's halves: a half projects on a scene half h (the scene, or
-its own halves when signed) as (sum(h) +- sum(v * h))/2, v the pattern over
-its scale. So per bucket it forms one ``pattern`` and one product-sum per
-scene half; per left row, array operations take the scales, the halves'
-projections, one noise block and the signing, in the per-bucket order, so
-bit for bit. The public ``split_pattern``, ``normalize_pattern``,
-``project`` and ``measure_bucket`` form the halves explicitly and check
-their inputs on every call: they are the per-projection reference, which
-``acquire`` matches to rounding, signing and summing the same draws in
-one order (``_combine``).
+``acquire`` computes every bucket of a set at once, in closed form.
+Pattern (m, n) is the outer product of rows L_m and R_n, at scale a_m b_n
+(a and b the rows' max-abs). Its projections' noise-free terms sum back
+to the bucket (L X R^T)[m, n], so
+
+    Y = L X R^T + (a b^T) * C(E),
+
+E[m, n, j] the draw of projection j at index per * (m * rows_R + n) + j,
+the pattern's plus half first, and C(E) = e0 - e1 (reflectance) or
+e0 - e1 - e2 + e3 (signed) the buckets' signing (``_combine``). The public
+``split_pattern``, ``normalize_pattern``, ``project`` and
+``measure_bucket`` form the halves explicitly and check their inputs on
+every call: they are the per-projection reference, which ``acquire``
+matches to rounding with the same draws.
 """
 
 import itertools
@@ -41,9 +41,10 @@ from .errors import (
     ShapeError,
     UnsupportedPatternError,
 )
-from .measurement import HybridSpec, compose_chain, forward, pattern
+from .measurement import HybridSpec, compose_chain, forward
 
 _MAX_SEED = (1 << 64) - 1
+_BLOCK_DRAWS = 2048  # noise draws per block, in whole left rows of buckets
 
 
 class RangeTag(str, Enum):
@@ -225,11 +226,6 @@ def _combine(terms):
     return terms[0] - terms[1]
 
 
-def _projected(scene: SceneImage) -> tuple:
-    """The scene as the projector sees it: split into halves when signed."""
-    return _split(scene.values) if scene.range_tag is RangeTag.SIGNED else (scene.values,)
-
-
 def project(pattern_values, object_values, noise: NoiseModel, measurement_index: int) -> float:
     """One physical projection: sum of pattern * object plus a noise draw.
 
@@ -268,7 +264,8 @@ def measure_bucket(
     per = 4 if scene.range_tag is RangeTag.SIGNED else 2
     start = per * _measurement_index(base_index, per)
     scene.assert_in_range()
-    pairs = itertools.product(_split(_require_normalized(pattern_values)), _projected(scene))
+    halves = _split(scene.values) if per == 4 else (scene.values,)  # the scene as projected
+    pairs = itertools.product(_split(_require_normalized(pattern_values)), halves)
     return _combine([project(p, h, noise, start + j) for j, (p, h) in enumerate(pairs)])
 
 
@@ -289,19 +286,15 @@ def _factors_for(spec: HybridSpec, scene: SceneImage):
 
 
 def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSignals:
-    """Simulate the full acquisition loop for one hybridization set.
+    """Simulate the physical acquisition of one hybridization set.
 
-    Every kept (m, n) pattern is displayed as its two nonnegative halves
-    (1 +- v)/2, v = pattern / scale with scale its max-abs, and projected
-    against the scene; the bucket value is rescaled by ``scale``. At
-    sigma = 0 the result equals L @ X @ R^H exactly (to rounding), with L
-    and R the effective truncated factors.
-
-    Per bucket the loop forms the pattern and its product-sum with each
-    scene half. Per left row m, array operations take the scales
-    max|L_m| * max|R_n| (bit for bit the max-abs: rounding is monotone),
-    the projections, the row's noise block (the next of one stream) and the
-    signing. A sigma whose noise overflows a bucket raises ParameterError.
+    Each kept (m, n) pattern v, over its max-abs scale max|L_m| * max|R_n|,
+    is shown as its halves (1 +- v)/2 against the scene, or the scene's
+    halves when signed. The bucket, ``scale`` times the projections' signed
+    sum, is L @ X @ R^H plus ``scale`` times the signed sum of their draws.
+    The draws come in blocks of whole left rows, at ``measure_bucket``'s
+    indices for measurement m * rows_R + n. A sigma whose noise overflows
+    a bucket raises ParameterError.
     """
     left, right = _factors_for(spec, scene)
     if left.is_complex or right.is_complex:
@@ -309,25 +302,18 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
     if peaks_l.min() * peaks_r.min() == 0.0:  # the least scale; rounding is monotone
         raise DegeneratePatternError("all-zero pattern cannot be normalized")
-    halves = _projected(scene)
-    sums = np.array([[h.sum()] for h in halves])
-    rows_r = right.kept_rows
-    dots = np.empty((len(halves), rows_r))
-    buckets = np.empty((left.kept_rows, rows_r))
-    blocks = _noise_blocks(noise.sigma, noise.seed, 0, 2 * len(halves) * rows_r)  # one per row
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, peak_l in enumerate(peaks_l.tolist()):
-            for n in range(rows_r):
-                shown = pattern(left, right, m, n)
-                for k, h in enumerate(halves):
-                    dots[k, n] = (shown * h).sum()
-            scale = peak_l * peaks_r
-            diffs = dots / scale
-            terms = np.concatenate([(sums + diffs) / 2.0, (sums - diffs) / 2.0])
-            if noise.sigma > 0.0:
-                terms += next(blocks).reshape(rows_r, -1).T  # a bucket's draws per column
-            buckets[m] = scale * _combine(terms)
-    _require_finite(buckets, noise.sigma)
+    buckets = forward(left, right, scene.values)
+    if noise.sigma > 0.0:
+        per = 4 if scene.range_tag is RangeTag.SIGNED else 2
+        rows = max(1, _BLOCK_DRAWS // (per * right.kept_rows))
+        blocks = _noise_blocks(noise.sigma, noise.seed, 0, per * right.kept_rows * rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(0, left.kept_rows, rows):
+                part = buckets[m : m + rows]
+                draws = next(blocks)[: per * part.size].reshape(*part.shape, per)
+                scales = np.outer(peaks_l[m : m + rows], peaks_r)
+                part += scales * _combine(np.moveaxis(draws, -1, 0))
+        _require_finite(buckets, noise.sigma)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 

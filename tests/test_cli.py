@@ -850,6 +850,40 @@ class TestSweep:
         assert "error" in rows[1]
         assert ",ok," in rows[2]
 
+    def test_object_is_built_once_per_sweep(self, tmp_path, monkeypatch):
+        from hybridgi import config
+
+        builds = []
+        monkeypatch.setattr(config, "windmill", lambda **p: builds.append(p) or windmill(**p))
+        sweep = {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": [BASE_CONFIG["hybrid"], BASE_CONFIG["hybrid"]],
+            "sigmas": [0.0, 0.01],
+        }}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 4
+        assert builds == [{"height": 32, "width": 64, "blade_count": 4}]
+
+    def test_failed_object_build_is_recorded_in_every_row(self, tmp_path):
+        # A row whose config does not parse records its parse error instead.
+        base = {**BASE_CONFIG, "object": {"path": "missing.csv", "range": "reflectance"}}
+        bad_set = {"left": [{"kind": "hadamard", "order": 16}], "right": []}
+        sweep = {"base": base, "vary": {"hybrid_sets": [base["hybrid"], bad_set],
+                                        "sigmas": [0.0, 0.01]}}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["error"] * 4
+        build_error = [row["message"] for row in rows if row["set"]]
+        assert len(build_error) == 2 and build_error[0] == build_error[1]
+        assert "No such file or directory" in build_error[0]
+        assert str(tmp_path / "missing.csv") in build_error[0]
+        assert all(row["message"].startswith("hybrid.right") for row in rows if not row["set"])
+
     def test_shipped_sweep_config_is_accepted(self, tmp_path):
         # The shipped run configs are run by test_reconstruct_reproduces_run_image.
         path = CONFIGS / "sweep_six_sets.json"

@@ -5,11 +5,11 @@ chain entry, chain lengths 1-3, a random truncation of the outermost
 factor, and a random scene in the declared range. The metrics are checked
 against direct per-window and per-entry oracles over random images, and
 the noise draws against Box-Muller spelt out over a fresh Philox generator
-per draw. The physical acquisition loop is checked bitwise against an
-oracle loop that spells out the identity it computes, each half of a
-pattern projected as (sum(h) +- sum(pattern * h) / scale) / 2, and to
-1e-12 against the explicit split of every pattern into its halves, spelt
-out and through the public per-bucket helpers.
+per draw. The physical acquisition is checked bitwise against its closed
+form spelt out, forward(L, R, X) plus each bucket's scale times its signed
+draws from one fresh Philox stream, and to 1e-12 against the per-pattern
+loop that splits every pattern into its halves, spelt out and through the
+public per-bucket helpers.
 """
 
 import re
@@ -331,27 +331,27 @@ def combine(terms: list) -> float:
     return terms[0] - terms[1]
 
 
-def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
-    """The acquisition loop by the identity sum((1 +- v)/2 * h) = (sum(h) +- sum(v * h)) / 2.
+def oracle_stream(sigma: float, seed: int, count: int) -> np.ndarray:
+    """Draws 0 .. count - 1 of ``seed``, spelt out from one fresh Philox stream."""
+    words = np.random.Philox(key=seed).random_raw(2 * count)
+    u1, u2 = ((words[k::2] >> 11) * 2.0**-53 for k in (0, 1))
+    return sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
-    v is the pattern over its max-abs ``scale`` and h a projected half of the
-    scene; every projection's draw comes from oracle_draw.
+
+def oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
+    """The closed form: L X R^T + (a b^T) * the signed sum of each bucket's draws.
+
+    a and b are the factors' row max-abs, so a_m * b_n is pattern (m, n)'s
+    scale; projection j of bucket (m, n) takes draw per * (m * rows_R + n) + j.
     """
     left, right = compose_chain(spec)
-    halves = scene_halves(scene)
-    buckets = np.empty((left.kept_rows, right.kept_rows))
-    for m in range(left.kept_rows):
-        for n in range(right.kept_rows):
-            raw = pattern(left, right, m, n)
-            scale = float(np.max(np.abs(raw)))
-            base = 2 * len(halves) * (m * right.kept_rows + n)
-            terms = [
-                (float(np.sum(h)) + sign * (float(np.sum(raw * h)) / scale)) / 2.0
-                + oracle_draw(sigma, seed, base + k)
-                for k, (sign, h) in enumerate((sign, h) for sign in (1.0, -1.0) for h in halves)
-            ]
-            buckets[m, n] = scale * combine(terms)
-    return buckets
+    y = forward(left, right, scene.values)
+    if sigma == 0.0:
+        return y
+    per = 2 * len(scene_halves(scene))
+    draws = oracle_stream(sigma, seed, per * y.size).reshape(*y.shape, per)
+    a, b = (np.abs(f.entries).max(axis=1) for f in (left, right))
+    return y + np.outer(a, b) * combine([draws[..., j] for j in range(per)])
 
 
 def split_oracle_acquire(spec, scene, sigma: float, seed: int) -> np.ndarray:
@@ -458,8 +458,8 @@ def test_large_acquire_equals_split_loop_to_rounding(height, width, range_tag, s
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_single_row_and_column_acquire_equals_oracle_loop(left_kept, right_kept, range_tag,
                                                           sigma):
-    # One kept row or column: a row's noise block is one bucket's draws, or
-    # the row buffer is one column wide.
+    # One kept row or column: a noise block holds the one row of buckets, or
+    # rows one bucket wide and a last block cut short.
     spec = HybridSpec((ChainEntry("hadamard", 8), ChainEntry("dct", 8, left_kept)),
                       (ChainEntry("haar", 16, right_kept),))
     rng = np.random.default_rng([left_kept, right_kept, list(RangeTag).index(range_tag)])

@@ -325,8 +325,8 @@ class TestAcquire:
     def test_zero_scale_is_rejected_before_the_first_pattern(
         self, monkeypatch, left_row, right_row
     ):
-        # The least scale is checked once: a zero row, or row peaks whose
-        # product underflows, would give some pattern a zero scale.
+        # The least scale is checked once, before any bucket is formed: a zero
+        # row, or row peaks whose product underflows, give a pattern a zero scale.
         from hybridgi import TransformKind, TransformMatrix, simulator
 
         left = np.full((4, 4), 0.5)
@@ -337,7 +337,7 @@ class TestAcquire:
         composed = tuple(map(as_factor, factors))
         monkeypatch.setattr(simulator, "compose_chain", lambda spec: composed)
         calls = []
-        monkeypatch.setattr(simulator, "pattern", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulator, "forward", lambda *args: calls.append(args))
         spec = HybridSpec.pair("hadamard", 4, "hadamard", 2)
         scene = SceneImage(np.full((4, 2), 0.5), RangeTag.REFLECTANCE)
         with pytest.raises(DegeneratePatternError,
@@ -355,8 +355,9 @@ class TestAcquire:
 
     def test_noise_memory_is_one_row_of_buckets(self):
         # With numpy 2.4 on CPython 3.11 a 64x64 signed acquisition at
-        # sigma > 0 peaks at about 8.6 scene sizes beyond its result (factors,
-        # halves, pattern temporaries); the whole grid's noise in one block reads 32.
+        # sigma > 0 peaks at about 7.8 scene sizes beyond its result (factors,
+        # the forward product, one noise block of whole rows); the whole
+        # grid's noise in one block reads 32.
         spec = HybridSpec.pair("hadamard", 64, "dct", 64)
         scene = SceneImage(np.random.default_rng(13).uniform(-1, 1, (64, 64)), RangeTag.SIGNED)
         noise = NoiseModel(0.05, 1)
@@ -369,6 +370,36 @@ class TestAcquire:
             tracemalloc.stop()
         assert peak - result.values.nbytes <= 12 * scene.values.nbytes
 
+    def test_noise_memory_at_256_is_bounded_by_the_scene(self):
+        # A 256x256 reflectance acquisition at sigma > 0 peaks at about 3.2
+        # scene sizes beyond its result.
+        spec = HybridSpec.pair("hadamard", 256, "dct", 256)
+        scene = SceneImage(np.random.default_rng(17).uniform(0, 1, (256, 256)),
+                           RangeTag.REFLECTANCE)
+        noise = NoiseModel(0.01, 2)
+        tracemalloc.start()
+        try:
+            result = acquire(spec, scene, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.values.nbytes <= 12 * scene.values.nbytes
+
+    @pytest.mark.parametrize("range_tag", list(RangeTag))
+    def test_noise_blocks_of_any_size_give_the_same_buckets(self, monkeypatch, range_tag):
+        # Blocks hold whole left rows: of one row each (a block size of 1
+        # draw), several rows, or the whole grid, with a last block cut short.
+        from hybridgi import simulator
+
+        spec = HybridSpec.pair("haar", 16, "dct", 8, left_kept=13)
+        lo, hi = range_tag.bounds
+        scene = SceneImage(np.random.default_rng(19).uniform(lo, hi, (16, 8)), range_tag)
+        got = []
+        for block in (1, 128, 4096):
+            monkeypatch.setattr(simulator, "_BLOCK_DRAWS", block)
+            got.append(acquire(spec, scene, NoiseModel(0.05, 23)).values.tobytes())
+        assert got[0] == got[1] == got[2]
+
     def test_metadata_carried(self):
         spec = HybridSpec.pair("hadamard", 4, "haar", 4)
         scene = separable_object(
@@ -378,6 +409,18 @@ class TestAcquire:
         assert buckets.spec == spec
         assert buckets.noise_sigma == 0.02
         assert buckets.seed == 5
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("start", [0, 1, 4 * 4096**2 - 3 * 4096])
+def test_draws_do_not_depend_on_their_block_size(seed, start):
+    # The same indices from blocks of 1, 128 and 4096 draws: bit for bit one stream.
+    count = 2 * 4096
+    streams = []
+    for size in (1, 128, 4096):
+        blocks = _noise_blocks(0.05, seed, start, size)
+        streams.append(np.concatenate([next(blocks) for _ in range(count // size)]))
+    assert streams[0].tobytes() == streams[1].tobytes() == streams[2].tobytes()
 
 
 class TestNoiseStatistics:
