@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fileio, scenes
-from .config import ExperimentConfig, OutputPaths, _parse_object, parse_config, with_overrides
+from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
 from .measurement import HybridSpec, as_file_name, as_object, fields, footprint_report
 from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
@@ -55,9 +55,11 @@ def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneIma
     return config, scene, config.outputs.resolved(_out_dir(args))
 
 
-def _make_out_dir(args) -> None:
-    """Make the --out directory: right before a command's first write, so a failure leaves none."""
-    _out_dir(args).mkdir(parents=True, exist_ok=True)
+def _make_parents(*files) -> None:
+    """Make each file's directory (--out for a plain name) right before the first write, so a
+    failure leaves none."""
+    for folder in {Path(file).parent for file in files}:
+        folder.mkdir(parents=True, exist_ok=True)
 
 
 def _acquire(config: ExperimentConfig, scene: SceneImage):
@@ -117,7 +119,7 @@ def _export_run(config: ExperimentConfig, paths: OutputPaths, buckets, result, r
 def cmd_run(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
     _, buckets, result, report = run_experiment(config, scene)
-    _make_out_dir(args)
+    _make_parents(paths.buckets, paths.image, paths.report)
     _export_run(config, paths, buckets, result, report)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -127,7 +129,7 @@ def cmd_run(args) -> int:
 def cmd_gen_object(args) -> int:
     _, scene, paths = _load_stage(args)
     scenes.image_path(scene, paths.object)  # a scene that cannot be saved fails before --out
-    _make_out_dir(args)
+    _make_parents(paths.object)
     scenes.save_image(scene, paths.object)
     if not args.quiet:
         print(f"object {scene.height}x{scene.width} -> {paths.object}")
@@ -137,7 +139,7 @@ def cmd_gen_object(args) -> int:
 def cmd_acquire(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
     buckets = _acquire(config, scene)
-    _make_out_dir(args)
+    _make_parents(paths.buckets)
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
         print(
@@ -151,7 +153,7 @@ def cmd_reconstruct(args) -> int:
     _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
-    _make_out_dir(args)
+    _make_parents(paths.image)
     _write_reconstruction(result.image, paths)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
@@ -163,7 +165,7 @@ def cmd_metrics(args) -> int:
     recon = fileio.read_finite_matrix(paths.image_csv)
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
-    _make_out_dir(args)
+    _make_parents(paths.report)
     _write_report(config, paths.report, report)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -188,7 +190,7 @@ def cmd_sweep(args) -> int:
     # The flags set the base, so that a varied axis wins over them.
     base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)
     try:  # no axis varies the object: one build, whose error each row that parses records
-        scene = _parse_object(base.get("object"), "object").build(base_dir)
+        scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
     rows = []
@@ -221,7 +223,7 @@ def cmd_sweep(args) -> int:
             row.update(status="error", message=str(exc))
         rows.append(row)
 
-    _make_out_dir(args)
+    _make_parents(table_path)
     with open(table_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
         writer.writeheader()

@@ -129,7 +129,8 @@ class ExperimentConfig:
         )
 
 
-def _parse_object(data, path: str) -> ObjectSpec:
+def parse_object(data, path: str) -> ObjectSpec:
+    """Check an object section: a path and a range, or a generator and its fields."""
     if "path" in as_object(data, path):
         return ObjectSpec(fields(data, path, {"path": as_file_name, "range": _RANGE}, {}))
     generator = data.get("generator")
@@ -180,7 +181,7 @@ SECTIONS = {
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict and resolve it into an ExperimentConfig."""
-    required = {"object": _parse_object, "hybrid": HybridSpec.from_dict}
+    required = {"object": parse_object, "hybrid": HybridSpec.from_dict}
     config = ExperimentConfig(**fields(data, "", required, SECTIONS), raw=data)
     if config.uses_dft and config.noise.sigma != 0.0:
         raise ConfigError(

@@ -2,8 +2,9 @@
 
 A measurement is described by a left factor L (kept_rows_L x M) acting on
 image rows and a right factor R (kept_rows_R x N) acting on image columns.
-The forward model is Y = L @ X @ R^H, computed by :func:`forward` alone.
-Its one-dimensional form is A = kron(L, conj(R)): with row-major
+The forward model is Y = L @ X @ R^H, computed by :func:`forward` alone,
+and its adjoint, the recovery X' = real(L^H @ Y @ R), by :func:`backward`
+alone. The one-dimensional form is A = kron(L, conj(R)): with row-major
 vectorization, A @ vec_rows(X) == vec_rows(forward(L, R, X)).
 
 Index maps (0-based): measurement k = m * kept_rows_R + n pairs left row m
@@ -299,26 +300,13 @@ def forward(left, right, x) -> np.ndarray:
 
     Entry (m, n) is the bucket of measurement (m, n): the dot product of
     the scene with pattern(left, right, m, n). A real X with exactly one
-    complex factor runs in real arithmetic (see _split_product).
+    complex factor runs in real matmuls: a complex R enters as its planes,
+    Y = (L X) Rr^T - i (L X) Ri^T written into the halves of one complex
+    output, and a complex L mirrors it, Lr (X R^T) + i Li (X R^T).
     """
     left, right = as_factor(left).entries, as_factor(right).entries
-    if np.iscomplexobj(left) != np.iscomplexobj(right) and not np.iscomplexobj(x):
-        return _split_product(left, right, x)
-    return left @ x @ right.conj().T
-
-
-def _split_product(left, right, x, inverse: bool = False) -> np.ndarray:
-    """L X R^H for a real X, or real(L^H X R) if ``inverse``, in real matmuls.
-
-    Exactly one of the entry arrays L, R is complex and enters as its real
-    and imaginary planes: Y = (L X) Rr^T - i (L X) Ri^T is written into the
-    halves of one complex output, the inverse is L^T (Xr Rr - Xi Ri), and a
-    complex L mirrors both: Lr (X R^T) + i Li (X R^T), (Lr^T Xr + Li^T Xi) R.
-    """
-    if inverse and np.iscomplexobj(right):
-        return left.T @ (x.real @ right.real - x.imag @ right.imag)
-    if inverse:
-        return (left.real.T @ x.real + left.imag.T @ x.imag) @ right
+    if np.iscomplexobj(left) == np.iscomplexobj(right) or np.iscomplexobj(x):
+        return left @ x @ right.conj().T
     y = np.empty((left.shape[0], right.shape[0]), np.complex128)
     if np.iscomplexobj(right):
         lx = left @ x
@@ -329,6 +317,21 @@ def _split_product(left, right, x, inverse: bool = False) -> np.ndarray:
         np.matmul(left.real, xr, out=y.real)
         np.matmul(left.imag, xr, out=y.imag)
     return y
+
+
+def backward(left, right, y) -> np.ndarray:
+    """The recovery X' = real(L^H @ Y @ R) of a factor pair, the adjoint of :func:`forward`.
+
+    With exactly one complex factor the real part is formed in real
+    matmuls: L^T (Yr Rr - Yi Ri) for a complex R, (Lr^T Yr + Li^T Yi) R
+    for a complex L.
+    """
+    left, right = as_factor(left).entries, as_factor(right).entries
+    if np.iscomplexobj(left) == np.iscomplexobj(right):
+        return np.real(left.conj().T @ y @ right)
+    if np.iscomplexobj(right):
+        return left.T @ (y.real @ right.real - y.imag @ right.imag)
+    return (left.real.T @ y.real + left.imag.T @ y.imag) @ right
 
 
 def kron(left, right) -> TransformMatrix:

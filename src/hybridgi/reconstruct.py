@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValueOverflowError
-from .measurement import HybridSpec, _split_product, as_factor, compose_chain, forward
+from .measurement import HybridSpec, as_factor, backward, compose_chain, forward
 from .simulator import RangeTag, SceneImage
 from .transforms import TransformMatrix
 
@@ -55,10 +55,8 @@ def reconstruct_2d(
     output keeps the full image dimensions and, for noiseless buckets,
     equals the projection L_t^H @ L_t @ X @ R_t^H @ R_t of the true image.
     Complex factors yield a real image (the real part); any complex
-    residue shows up in residual_norm. With exactly one complex factor,
-    that real part is formed in real arithmetic. Finite buckets whose
-    recovery or its forward image leaves the float range raise
-    ValueOverflowError.
+    residue shows up in residual_norm. Finite buckets whose recovery or
+    its forward image leaves the float range raise ValueOverflowError.
     """
     left, right = as_factor(left), as_factor(right)
     values = np.asarray(getattr(y, "values", y))
@@ -70,11 +68,7 @@ def reconstruct_2d(
     if not np.isfinite(values).all():
         raise ParameterError("bucket values must be finite, got a NaN or infinite value")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        if np.iscomplexobj(left.entries) != np.iscomplexobj(right.entries):
-            image = _split_product(left.entries, right.entries, values, inverse=True)
-        else:
-            image = np.real(left.entries.conj().T @ values @ right.entries)
-        image = SceneImage(image, range_tag)
+        image = SceneImage(backward(left, right, values), range_tag)
         fitted = forward(left, right, image.values)
     if not (np.isfinite(image.values).all() and np.isfinite(fitted).all()):
         raise ValueOverflowError("the reconstruction of the buckets overflows")

@@ -297,7 +297,7 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     a bucket raises ParameterError.
     """
     left, right = _factors_for(spec, scene)
-    if left.is_complex or right.is_complex:
+    if np.iscomplexobj(left.entries) or np.iscomplexobj(right.entries):
         raise UnsupportedPatternError("complex transform factors cannot be physically projected")
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
     if peaks_l.min() * peaks_r.min() == 0.0:  # the least scale; rounding is monotone

@@ -78,10 +78,6 @@ class TransformMatrix:
         object.__setattr__(self, "kept_rows", self.entries.shape[0])
         object.__setattr__(self, "order", self.entries.shape[1])
 
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.entries)
-
 
 def _is_integer(value) -> bool:
     # bool is an int subclass, but True is no order.

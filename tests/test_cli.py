@@ -207,6 +207,21 @@ class TestRunCommand:
             written.append((image.read_bytes(), image.with_suffix(".csv").read_bytes()))
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("commands", [["run"], ["gen-object", "acquire", "reconstruct",
+                                                    "metrics"]], ids=["run", "stages"])
+    def test_output_names_with_a_directory_are_written_there(self, tmp_path, commands):
+        outputs = {"image": "sub/r.pgm", "buckets": "sub/data/b.csv", "report": "sub/r.json",
+                   "object": "sub/o.pgm"}
+        config_path = write_config(tmp_path, dict(BASE_CONFIG, outputs=outputs))
+        out = tmp_path / "out"
+        for command in commands:
+            assert main([command, "--config", str(config_path), "--out", str(out), "--quiet"]) == 0
+        written = ["sub/data/b.csv", "sub/data/b.csv.json", "sub/r.csv", "sub/r.json", "sub/r.pgm"]
+        if "gen-object" in commands:
+            written.append("sub/o.pgm")
+        assert sorted(path.relative_to(out).as_posix()
+                      for path in out.rglob("*") if path.is_file()) == sorted(written)
+
     def test_stage_commands_chain_together(self, tmp_path, capsys):
         config_path = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -947,6 +962,13 @@ class TestSweep:
         path = write_config(tmp_path, sweep, "sweep.json")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_table_name_with_a_directory_is_written_there(self, tmp_path):
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "table": "sub/t.csv"}, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["sub", "sub/t.csv"]
+        assert (out / "sub" / "t.csv").read_text().startswith("index,set,sampling_rate")
 
     @pytest.mark.parametrize("value", [None, 5, ""], ids=["null", "number", "empty"])
     def test_table_must_be_a_file_name(self, tmp_path, capsys, value):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridgi.measurement import CONFIG_KINDS, as_int, fields, forward
+from hybridgi.measurement import CONFIG_KINDS, as_int, backward, fields, forward
 
 from hybridgi import (
     ChainCompositionError,
@@ -304,10 +304,11 @@ class TestTruncatedTransform:
                          ids=["ndarray", "list", "none"])
 @pytest.mark.parametrize("call", [
     lambda f, bad: forward(bad, f, np.zeros((4, 4))),
+    lambda f, bad: backward(f, bad, np.zeros((4, 4))),
     lambda f, bad: kron(f, bad),
     lambda f, bad: pattern(bad, f, 0, 0),
     lambda f, bad: reconstruct_2d(f, bad, np.zeros((4, 4))),
-], ids=["forward", "kron", "pattern", "reconstruct_2d"])
+], ids=["forward", "backward", "kron", "pattern", "reconstruct_2d"])
 def test_non_factor_is_shape_error(call, bad):
     with pytest.raises(ShapeError, match="expected a transform factor"):
         call(build_transform("hadamard", 4), bad)
@@ -441,3 +442,25 @@ def test_forward_memory_on_256_squared(dft_side):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (1 << 20)
+
+
+@pytest.mark.parametrize("left_kind", CONFIG_KINDS)
+@pytest.mark.parametrize("right_kind", CONFIG_KINDS)
+@pytest.mark.parametrize("kept", [(8, 4), (5, 3)], ids=["full", "truncated"])
+def test_backward_is_the_adjoint_of_forward(left_kind, right_kind, kept):
+    # Re<L X R^H, Y> = <X, real(L^H Y R)> for a real X. A pair with exactly
+    # one dft forms both products in real arithmetic, which rounds apart
+    # from the complex expression; any other pair is that expression.
+    left, right = compose_chain(HybridSpec.pair(left_kind, 8, right_kind, 4, *kept))
+    rng = np.random.default_rng([CONFIG_KINDS.index(left_kind), CONFIG_KINDS.index(right_kind),
+                                 kept[0]])
+    x = rng.uniform(-1.0, 1.0, (8, 4))
+    y = rng.normal(size=kept) + 1j * rng.normal(size=kept)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    image = backward(left, right, y)
+    assert abs(np.vdot(forward(left, right, x), y).real - np.vdot(x, image)) <= 1e-12 * scale
+    expression = np.real(left.entries.conj().T @ y @ right.entries)
+    if (left_kind == "dft") != (right_kind == "dft"):
+        assert_allclose(image, expression, rtol=0, atol=1e-12 * np.abs(y).max())
+    else:
+        assert image.tobytes() == expression.tobytes()
