@@ -15,8 +15,9 @@ from pathlib import Path
 from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
-from .measurement import HybridSpec, as_file_name, as_object, fields, footprint_report
-from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report
+from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fields,
+                          footprint_report)
+from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region
 from .reconstruct import reconstruct_chain
 from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal
 
@@ -62,10 +63,10 @@ def _make_parents(*files) -> None:
         folder.mkdir(parents=True, exist_ok=True)
 
 
-def _acquire(config: ExperimentConfig, scene: SceneImage):
+def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None):
     if config.uses_dft:
-        return acquire_ideal(config.hybrid, scene)
-    return acquire(config.hybrid, scene, config.noise)
+        return acquire_ideal(config.hybrid, scene, factors)
+    return acquire(config.hybrid, scene, config.noise, factors)
 
 
 def _summary_line(config: ExperimentConfig, report) -> str:
@@ -98,9 +99,13 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
 def run_experiment(config: ExperimentConfig, scene: SceneImage,
                    paths: OutputPaths | None = None):
     """Full pipeline: acquire -> reconstruct -> score, exported to ``paths`` if given."""
-    buckets = _acquire(config, scene)
+    scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
+    require_ssim_region(scene, config.metrics.get("roi"))
+    factors = compose_chain(config.hybrid)  # once for both stages, let go before scoring
+    buckets = _acquire(config, scene, factors)
     try:
-        result = reconstruct_chain(config.hybrid, buckets, range_tag=scene.range_tag)
+        result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
+        del factors
         report = quality_report(scene, result.image, buckets=buckets, **config.metrics)
     except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc

@@ -86,6 +86,13 @@ def _psnr_of(err: float, peak: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
+def require_ssim_region(image, roi: Roi | None = None) -> None:
+    """Raise ShapeError unless the compared region, ``image`` or its ``roi``, holds a window."""
+    shape = _apply_roi(_as_array(image), roi).shape
+    if min(shape) < SSIM_WINDOW:
+        raise ShapeError(f"region {shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window")
+
+
 def _window_sums(x: np.ndarray) -> np.ndarray:
     """Sum of each interior 8x8 window of a 2-D array, stride 1.
 
@@ -116,10 +123,7 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
     """
     _require_peak(peak)
     a, b = _pair(reference, test, roi)
-    if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
-        raise ShapeError(
-            f"region {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window"
-        )
+    require_ssim_region(a)
     n = SSIM_WINDOW * SSIM_WINDOW
     c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
     if float(c1) * float(c2) == math.inf:  # the denominator's least value overflows

@@ -82,7 +82,8 @@ def reconstruct_2d(
 
 
 def reconstruct_chain(
-    spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED
+    spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED, factors=None
 ) -> ReconstructionResult:
-    """Invert a chained forward model via the composed effective factors."""
-    return replace(reconstruct_2d(*compose_chain(spec), y, range_tag), spec=spec)
+    """Invert a chained forward model via its composed factors (``factors``, if given)."""
+    factors = compose_chain(spec) if factors is None else factors
+    return replace(reconstruct_2d(*factors, y, range_tag), spec=spec)

@@ -153,8 +153,11 @@ def _noise_blocks(sigma: float, seed: int, start: int, count: int):
     bit_generator.random_raw(2 * (start % 2))  # the word pair before an odd start
     while True:
         words = bit_generator.random_raw(2 * count)
-        u1, u2 = ((words.reshape(count, 2) >> 11) * 2.0**-53).T.copy()
-        yield sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+        words >>= 11
+        u1, u2 = np.multiply(words.reshape(count, 2).T, 2.0**-53, out=np.empty((2, count)))
+        np.sqrt(np.multiply(np.log1p(np.negative(u1, out=u1), out=u1), -2.0, out=u1), out=u1)
+        np.cos(np.multiply(u2, 2.0 * math.pi, out=u2), out=u2)
+        yield np.multiply(np.multiply(u1, sigma, out=u1), u2, out=u1)
 
 
 def _require_finite(values, sigma: float):
@@ -269,13 +272,13 @@ def measure_bucket(
     return _combine([project(p, h, noise, start + j) for j, (p, h) in enumerate(pairs)])
 
 
-def _factors_for(spec: HybridSpec, scene: SceneImage):
-    """The composed factors of ``spec``, once ``scene`` is fit to acquire.
+def _factors_for(spec: HybridSpec, scene: SceneImage, factors=None):
+    """``factors``, else compose_chain(spec), once ``scene`` is fit to acquire with them.
 
     Both acquisition paths start here: the factor orders must match the
     scene's shape and its values must lie in its declared range.
     """
-    left, right = compose_chain(spec)
+    left, right = compose_chain(spec) if factors is None else factors
     if left.order != scene.height or right.order != scene.width:
         raise ShapeError(
             f"spec orders {left.order}x{right.order} do not match "
@@ -285,7 +288,7 @@ def _factors_for(spec: HybridSpec, scene: SceneImage):
     return left, right
 
 
-def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSignals:
+def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None) -> BucketSignals:
     """Simulate the physical acquisition of one hybridization set.
 
     Each kept (m, n) pattern v, over its max-abs scale max|L_m| * max|R_n|,
@@ -296,7 +299,7 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     indices for measurement m * rows_R + n. A sigma whose noise overflows
     a bucket raises ParameterError.
     """
-    left, right = _factors_for(spec, scene)
+    left, right = _factors_for(spec, scene, factors)
     if np.iscomplexobj(left.entries) or np.iscomplexobj(right.entries):
         raise UnsupportedPatternError("complex transform factors cannot be physically projected")
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
@@ -317,10 +320,10 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel) -> BucketSig
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 
-def acquire_ideal(spec: HybridSpec, scene: SceneImage) -> BucketSignals:
+def acquire_ideal(spec: HybridSpec, scene: SceneImage, factors=None) -> BucketSignals:
     """Noise-free dense acquisition: Y = L @ X @ R^H.
 
     This is the math-path counterpart of :func:`acquire`; it also accepts
     complex (DFT) factors, which the physical simulator rejects.
     """
-    return BucketSignals(forward(*_factors_for(spec, scene), scene.values), 0.0, 0, spec)
+    return BucketSignals(forward(*_factors_for(spec, scene, factors), scene.values), 0.0, 0, spec)

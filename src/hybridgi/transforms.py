@@ -87,14 +87,16 @@ def _is_integer(value) -> bool:
 def _hadamard(order: int) -> np.ndarray:
     """Sylvester-recursive Walsh-Hadamard matrix.
 
-    Each recursion level doubles the order and applies a 1/sqrt(2)
-    prefactor, so every entry of the result is +-1/sqrt(order) and the
-    rows are orthonormal by construction.
+    Each level scales h by 1/sqrt(2), then writes it into the quadrants of
+    [[h, h], [h, -h]] (-(x c) is (-x) c exactly), so every entry of the
+    result is +-1/sqrt(order) and the rows are orthonormal by construction.
     """
     h = np.array([[1.0]])
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]]) * inv_sqrt2
+    while (n := h.shape[0]) < order:
+        h, half = np.empty((2 * n, 2 * n)), h * inv_sqrt2
+        h[:n, :n] = h[:n, n:] = h[n:, :n] = half
+        np.negative(half, out=h[n:, n:])
     return h
 
 

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridgi import ConfigError, NoiseModel, RangeTag, acquire, windmill
-from hybridgi import fileio
+from hybridgi import cli, fileio, measurement
 from hybridgi.cli import main, run_experiment
 from hybridgi.config import parse_config, resolve_kept_rows
 
@@ -38,6 +39,25 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def record_calls(monkeypatch, function, modules=None):
+    """Wrap ``function`` in each of ``modules`` (every hybridgi module by default)
+    that binds it; returns the list of the calls' positional arguments."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    if modules is None:
+        modules = [module for name, module in list(sys.modules.items())
+                   if name == "hybridgi" or name.startswith("hybridgi.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, recorded)
+    return calls
 
 
 class TestConfigParsing:
@@ -231,6 +251,28 @@ class TestRunCommand:
         assert (out / "report.json").exists()
         summary = capsys.readouterr().out.strip().split("\n")[-1]
         assert "significant=" in summary
+
+
+class TestComposeOnce:
+    @pytest.mark.parametrize("name", SHIPPED_RUN_CONFIGS)
+    def test_run_composes_each_chain_once(self, tmp_path, monkeypatch, name):
+        config_path = CONFIGS / name
+        spec = parse_config(json.loads(config_path.read_text())).hybrid
+        composes = record_calls(monkeypatch, measurement.compose_chain)
+        builds = record_calls(monkeypatch, measurement.build_transform, [measurement])
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert composes == [(spec,)]
+        assert len(builds) == len(spec.left_chain) + len(spec.right_chain)
+
+    def test_sweep_of_six_sets_builds_two_factors_per_row(self, tmp_path, monkeypatch):
+        # 24 rows of one left and one right factor; 96 builds when acquisition
+        # and recovery each composed their own pair.
+        builds = record_calls(monkeypatch, measurement.build_transform, [measurement])
+        config_path = CONFIGS / "sweep_six_sets.json"
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+        with open(tmp_path / "six_sets_sweep.csv", newline="") as handle:
+            assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 24
+        assert len(builds) == 48
 
 
 class TestExitCodes:
@@ -624,6 +666,57 @@ class TestExitCodes:
         assert main([command, "--config", str(config_path), "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "obj, metrics, region",
+        [(dict(SEPARABLE, left_order=4, right_order=4), {}, (4, 4)),
+         (BASE_CONFIG["object"], {"roi": [3, 5, 7, 7]}, (7, 7))],
+        ids=["4x4-separable", "7x7-roi"],
+    )
+    def test_small_compared_region_fails_before_acquiring(self, tmp_path, capsys, monkeypatch,
+                                                          obj, metrics, region):
+        acquired = record_calls(monkeypatch, cli.acquire, [cli])
+        hybrid = {"left": [{"kind": "hadamard", "order": obj.get("left_order", 32)}],
+                  "right": [{"kind": "dct", "order": obj.get("right_order", 64)}]}
+        config_path = write_config(tmp_path, dict(BASE_CONFIG, object=obj, hybrid=hybrid,
+                                                  metrics=metrics))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: region {region} smaller than the 8x8 ssim window\n"
+        assert acquired == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scene, order, message",
+        [("0.5,1.5\n0,1\n", 2,
+          "scene values [0, 1.5] lie outside the declared reflectance range [0.0, 1.0]"),
+         ("0.5,0.25\n0,1\n", 8, "region (2, 2) smaller than the 8x8 ssim window")],
+        ids=["out-of-range-wins", "small-region-beats-order-mismatch"],
+    )
+    def test_first_of_two_scene_faults_is_named(self, tmp_path, capsys, scene, order, message):
+        # A 2x2 object fails scoring, and also its range or the spec's orders:
+        # its range is named first, then its size, before acquisition checks orders.
+        (tmp_path / "scene.csv").write_text(scene)
+        hybrid = {"left": [{"kind": "hadamard", "order": order}],
+                  "right": [{"kind": "dct", "order": order}]}
+        config = dict(BASE_CONFIG, object={"path": "scene.csv", "range": "reflectance"},
+                      hybrid=hybrid)
+        config_path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_small_region_is_recorded_in_each_sweep_row(self, tmp_path, monkeypatch):
+        acquired = record_calls(monkeypatch, cli.acquire, [cli])
+        base = dict(BASE_CONFIG, metrics={"roi": [0, 0, 8, 4]})
+        sweep = {"base": base, "vary": {"sigmas": [0.0, 0.01]}}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["message"] for row in rows] == [
+            "region (8, 4) smaller than the 8x8 ssim window"] * 2
+        assert acquired == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(

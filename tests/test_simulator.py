@@ -1,5 +1,6 @@
 """Acquisition simulator tests: splitting, projection, noise, determinism."""
 
+import itertools
 import math
 import os
 import re
@@ -30,6 +31,7 @@ from hybridgi import (
     measure_bucket,
     normalize_pattern,
     project,
+    reconstruct_chain,
     separable_object,
     split_pattern,
 )
@@ -421,6 +423,85 @@ def test_draws_do_not_depend_on_their_block_size(seed, start):
         blocks = _noise_blocks(0.05, seed, start, size)
         streams.append(np.concatenate([next(blocks) for _ in range(count // size)]))
     assert streams[0].tobytes() == streams[1].tobytes() == streams[2].tobytes()
+
+
+def box_muller_out_of_place(sigma, seed, start, count):
+    """Draws ``start`` .. ``start + count - 1`` in the out-of-place expression
+    that the blocks first used, kept here as the bitwise reference."""
+    bit_generator = np.random.Philox(key=seed, counter=[start // 2, 0, 0, 0])
+    bit_generator.random_raw(2 * (start % 2))
+    words = bit_generator.random_raw(2 * count)
+    u1, u2 = ((words.reshape(count, 2) >> 11) * 2.0**-53).T.copy()
+    return sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("start", [0, 1, 4096, 8191])
+@pytest.mark.parametrize("sigma", [0.05, 3.0])
+def test_in_place_blocks_keep_every_draw(sigma, seed, start):
+    blocks = _noise_blocks(sigma, seed, start, 2048)
+    for offset in (0, 2048):
+        expected = box_muller_out_of_place(sigma, seed, start + offset, 2048)
+        assert next(blocks).tobytes() == expected.tobytes()
+
+
+def test_noise_block_peak_per_draw():
+    # With numpy 2.4 on CPython 3.11 a block of 2,048 draws peaks at about
+    # 49 B per draw: the words, shifted in place, and the two uniform rows
+    # that Box-Muller overwrites. Out of place it read 65.
+    blocks = _noise_blocks(0.05, 3, 0, 2048)
+    next(blocks)  # warm up
+    tracemalloc.start()
+    try:
+        block = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * block.size
+
+
+ALL_KINDS = ("hadamard", "dct", "haar", "dft", "identity")
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+@pytest.mark.parametrize("left_kind, right_kind", list(itertools.product(ALL_KINDS, repeat=2)))
+def test_composed_factors_give_the_spec_only_results(left_kind, right_kind, range_tag, truncated):
+    # A caller that composed the pair once passes it to each stage, bit for bit
+    # as if each stage composed its own.
+    kept = {"left_kept": 5, "right_kept": 3} if truncated else {}
+    spec = HybridSpec.pair(left_kind, 8, right_kind, 4, **kept)
+    lo, hi = range_tag.bounds
+    scene = SceneImage(np.random.default_rng(29).uniform(lo, hi, (8, 4)), range_tag)
+    factors = compose_chain(spec)
+    pairs = [(acquire_ideal(spec, scene), acquire_ideal(spec, scene, factors))]
+    if not any(np.iscomplexobj(f.entries) for f in factors):
+        for sigma in (0.0, 0.05):
+            noise = NoiseModel(sigma, 31)
+            pairs.append((acquire(spec, scene, noise), acquire(spec, scene, noise, factors)))
+    for own, passed in pairs:
+        assert passed.values.tobytes() == own.values.tobytes()
+        assert (passed.spec, passed.noise_sigma, passed.seed) == (own.spec, own.noise_sigma,
+                                                                  own.seed)
+        own_image = reconstruct_chain(spec, own, range_tag)
+        passed_image = reconstruct_chain(spec, own, range_tag, factors)
+        assert passed_image.image.values.tobytes() == own_image.image.values.tobytes()
+        assert passed_image.residual_norm == own_image.residual_norm
+        assert passed_image.spec == own_image.spec == spec
+
+
+def test_passed_factors_meet_the_same_entry_check():
+    # The check applies to the pair passed in, not to the spec beside it.
+    scene = SceneImage(np.full((2, 4), 0.5), RangeTag.REFLECTANCE)
+    mismatched = compose_chain(HybridSpec.pair("dct", 4, "haar", 2))
+    spec = HybridSpec.pair("dct", 2, "haar", 4)
+    message = "^spec orders 4x2 do not match scene 2x4$"
+    with pytest.raises(ShapeError, match=message):
+        acquire(spec, scene, NoiseModel(0.05, 1), mismatched)
+    with pytest.raises(ShapeError, match=message):
+        acquire_ideal(spec, scene, mismatched)
+    with pytest.raises(ShapeError, match=message):  # what the spec alone raises
+        acquire_ideal(HybridSpec.pair("dct", 4, "haar", 2), scene)
 
 
 class TestNoiseStatistics:
