@@ -6,7 +6,6 @@ footprint, demo-stripes. Exit codes: 0 success, 1 config or usage error,
 """
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -56,13 +55,6 @@ def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneIma
     return config, scene, config.outputs.resolved(_out_dir(args))
 
 
-def _make_parents(*files) -> None:
-    """Make each file's directory (--out for a plain name) right before the first write, so a
-    failure leaves none."""
-    for folder in {Path(file).parent for file in files}:
-        folder.mkdir(parents=True, exist_ok=True)
-
-
 def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None):
     if config.uses_dft:
         return acquire_ideal(config.hybrid, scene, factors)
@@ -96,9 +88,8 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
-def run_experiment(config: ExperimentConfig, scene: SceneImage,
-                   paths: OutputPaths | None = None):
-    """Full pipeline: acquire -> reconstruct -> score, exported to ``paths`` if given."""
+def run_experiment(config: ExperimentConfig, scene: SceneImage):
+    """Full pipeline: acquire -> reconstruct -> score. Writes no file."""
     scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
     require_ssim_region(scene, config.metrics.get("roi"))
     factors = compose_chain(config.hybrid)  # once for both stages, let go before scoring
@@ -109,23 +100,15 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage,
         report = quality_report(scene, result.image, buckets=buckets, **config.metrics)
     except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
-    if paths is not None:
-        _export_run(config, paths, buckets, result, report)
     return scene, buckets, result, report
-
-
-def _export_run(config: ExperimentConfig, paths: OutputPaths, buckets, result, report) -> None:
-    """The files of a run: the buckets, the reconstruction and the report."""
-    fileio.write_buckets(paths.buckets, buckets)
-    _write_reconstruction(result.image, paths)
-    _write_report(config, paths.report, report, residual_norm=result.residual_norm)
 
 
 def cmd_run(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
     _, buckets, result, report = run_experiment(config, scene)
-    _make_parents(paths.buckets, paths.image, paths.report)
-    _export_run(config, paths, buckets, result, report)
+    fileio.write_buckets(paths.buckets, buckets)
+    _write_reconstruction(result.image, paths)
+    _write_report(config, paths.report, report, residual_norm=result.residual_norm)
     if not args.quiet:
         print(_summary_line(config, report))
     return 0
@@ -133,8 +116,6 @@ def cmd_run(args) -> int:
 
 def cmd_gen_object(args) -> int:
     _, scene, paths = _load_stage(args)
-    scenes.image_path(scene, paths.object)  # a scene that cannot be saved fails before --out
-    _make_parents(paths.object)
     scenes.save_image(scene, paths.object)
     if not args.quiet:
         print(f"object {scene.height}x{scene.width} -> {paths.object}")
@@ -144,7 +125,6 @@ def cmd_gen_object(args) -> int:
 def cmd_acquire(args) -> int:
     config, scene, paths = _load_stage(args, args.sigma, args.seed)
     buckets = _acquire(config, scene)
-    _make_parents(paths.buckets)
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
         print(
@@ -158,7 +138,6 @@ def cmd_reconstruct(args) -> int:
     _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
-    _make_parents(paths.image)
     _write_reconstruction(result.image, paths)
     if not args.quiet:
         print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
@@ -168,9 +147,10 @@ def cmd_reconstruct(args) -> int:
 def cmd_metrics(args) -> int:
     config, scene, paths = _load_stage(args)
     recon = fileio.read_finite_matrix(paths.image_csv)
+    if recon.dtype.kind == "c":  # a reconstruction is real: a complex token marks a corrupt file
+        raise ImageParseError(f"{paths.image_csv}: complex value in a real image")
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
-    _make_parents(paths.report)
     _write_report(config, paths.report, report)
     if not args.quiet:
         print(_summary_line(config, report))
@@ -228,11 +208,7 @@ def cmd_sweep(args) -> int:
             row.update(status="error", message=str(exc))
         rows.append(row)
 
-    _make_parents(table_path)
-    with open(table_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    fileio.write_table(table_path, SWEEP_FIELDS, rows)
     if not args.quiet:
         print(f"{len(rows)} runs -> {table_path}")
     return 0

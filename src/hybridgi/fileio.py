@@ -1,5 +1,9 @@
 """Low-level file formats: binary PGM (P5), full-precision CSV, JSON sidecars.
 
+Every file the package writes is written here, and each writer makes its
+file's directory right before it opens the file, so a command that fails
+before its first write leaves no directory behind.
+
 CSV matrices are row-major, one matrix row per line, 17 significant digits
 per value so float64 round-trips exactly. Complex values (ideal DFT bucket
 signals) are written as Python complex literals like ``1.5+0.25j``. Both
@@ -7,6 +11,7 @@ directions go one row at a time, so they hold O(one matrix) memory, and the
 bytes are exactly those of formatting each value on its own.
 """
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -68,12 +73,19 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
+def _new_file(path) -> Path:
+    """``path`` as a Path, once its directory exists."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_pgm(path, values: np.ndarray) -> None:
     """Write a uint8 array as a binary PGM (P5, maxval 255)."""
     values = np.asarray(values, dtype=np.uint8)
     height, width = values.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + values.tobytes())
+    _new_file(path).write_bytes(header + values.tobytes())
 
 
 def write_csv_matrix(path, matrix: np.ndarray) -> None:
@@ -85,7 +97,7 @@ def write_csv_matrix(path, matrix: np.ndarray) -> None:
         matrix = np.stack((matrix.real, matrix.imag), axis=-1).reshape(height, 2 * width)
     else:
         row_format = ",".join(["%.17g"] * width)
-    with open(path, "w") as out:
+    with open(_new_file(path), "w") as out:
         out.writelines(row_format % tuple(row.tolist()) + "\n" for row in matrix)
         out.write("" if height else "\n")
 
@@ -138,7 +150,15 @@ def read_finite_matrix(path) -> np.ndarray:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _new_file(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_table(path, fieldnames, rows) -> None:
+    """Write dict rows as a CSV table under a header line of ``fieldnames``."""
+    with open(_new_file(path), "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_json(path) -> dict:
@@ -166,7 +186,8 @@ def read_buckets(path) -> BucketSignals:
     """Read bucket signals and their sidecar back into a BucketSignals.
 
     A malformed sidecar raises ImageParseError naming the sidecar and the
-    offending field; a NaN or Inf bucket raises it naming the CSV.
+    offending field; a NaN or Inf bucket, or a matrix whose shape is not the
+    sidecar's kept rows, raises it naming the CSV.
     """
     values = read_finite_matrix(path)
     sidecar = sidecar_path(path)
@@ -175,4 +196,8 @@ def read_buckets(path) -> BucketSignals:
         meta = fields(read_json(sidecar), "", checks, {})
     except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ImageParseError(f"bucket sidecar {sidecar}: {exc}") from exc
+    kept = (meta["spec"].left_kept, meta["spec"].right_kept)
+    if values.shape != kept:
+        raise ImageParseError(f"{path}: bucket shape {values.shape} does not match the "
+                              f"sidecar's kept rows {kept[0]}x{kept[1]}")
     return BucketSignals(values, meta["noise_sigma"], meta["seed"], meta["spec"])

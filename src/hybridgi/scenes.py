@@ -192,18 +192,11 @@ def load_image(path, declared_range: RangeTag | str) -> SceneImage:
     return SceneImage(values, declared_range)
 
 
-def image_path(scene: SceneImage, path) -> Path:
-    """``path`` as a Path, once ``scene`` can be saved there: a PGM needs finite values."""
-    path = Path(path)  # only a loaded scene can hold a NaN or an Inf
-    if path.suffix.lower() == ".pgm" and not np.isfinite(scene.values).all():
-        raise ParameterError("a PGM image needs finite values, got a NaN or infinite value")
-    return path
-
-
 def save_image(scene: SceneImage, path) -> None:
     """Save a scene as PGM (quantized, clipped to range) or CSV (exact)."""
-    path = image_path(scene, path)
-    if path.suffix.lower() == ".pgm":
+    if Path(path).suffix.lower() == ".pgm":
+        if not np.isfinite(scene.values).all():  # only a loaded scene can hold a NaN or an Inf
+            raise ParameterError("a PGM image needs finite values, got a NaN or infinite value")
         lo, hi = scene.range_tag.bounds
         # rint((clipped - lo) / (hi - lo) * 255), op for op in the clip buffer
         level = np.clip(scene.values, lo, hi)
