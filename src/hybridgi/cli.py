@@ -6,6 +6,7 @@ footprint, demo-stripes. Exit codes: 0 success, 1 config or usage error,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -88,11 +89,15 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
-def run_experiment(config: ExperimentConfig, scene: SceneImage):
-    """Full pipeline: acquire -> reconstruct -> score. Writes no file."""
+def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None):
+    """Full pipeline: acquire -> reconstruct -> score. Writes no file.
+
+    Both stages share ``factors``, compose_chain(config.hybrid)'s pair. ``run`` leaves it
+    out: composed here, it is let go before scoring. ``sweep`` holds one through a run of rows.
+    """
     scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
     require_ssim_region(scene, config.metrics.get("roi"))
-    factors = compose_chain(config.hybrid)  # once for both stages, let go before scoring
+    factors = compose_chain(config.hybrid) if factors is None else factors
     buckets = _acquire(config, scene, factors)
     try:
         result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
@@ -178,7 +183,7 @@ def cmd_sweep(args) -> int:
         scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
-    rows = []
+    rows, factors, composed = [], None, None
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
         raw = dict(base)
         if hybrid is not None:
@@ -196,7 +201,10 @@ def cmd_sweep(args) -> int:
             )
             if isinstance(scene, Exception):
                 raise scene
-            _, _, _, report = run_experiment(config, scene)
+            if config.hybrid != composed:  # rows run set by set: one pair per run of rows
+                factors = None  # let the last set's pair go before composing the next
+                factors, composed = compose_chain(config.hybrid), config.hybrid
+            _, _, _, report = run_experiment(config, scene, factors)
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",
@@ -248,7 +256,9 @@ def cmd_demo_stripes(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built once, at the first call, which binds the handlers."""
     parser = argparse.ArgumentParser(
         prog="hybridgi",
         description="Hybrid-transform computational ghost imaging toolkit",

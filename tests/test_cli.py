@@ -1,6 +1,8 @@
 """CLI and config tests: validation, artifacts, determinism, sweep."""
 
 import csv
+import gc
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from hybridgi import ConfigError, NoiseModel, RangeTag, acquire, windmill
 from hybridgi import cli, fileio, measurement
 from hybridgi.cli import main, run_experiment
-from hybridgi.config import parse_config, resolve_kept_rows
+from hybridgi.config import parse_config, resolve_kept_rows, with_overrides
 
 BASE_CONFIG = {
     "object": {"generator": "windmill", "height": 32, "width": 64, "blade_count": 4},
@@ -259,15 +261,84 @@ class TestComposeOnce:
         assert composes == [(spec,)]
         assert len(builds) == len(spec.left_chain) + len(spec.right_chain)
 
-    def test_sweep_of_six_sets_builds_two_factors_per_row(self, tmp_path, monkeypatch):
-        # 24 rows of one left and one right factor; 96 builds when acquisition
-        # and recovery each composed their own pair.
+    def test_sweep_of_six_sets_builds_two_factors_per_set(self, tmp_path, monkeypatch):
+        # 12 sets, each of one left and one right factor, over 2 sigmas in a row:
+        # 48 builds when each row composed its own pair, 96 when acquisition and
+        # recovery each did.
         builds = record_calls(monkeypatch, measurement.build_transform, [measurement])
         config_path = CONFIGS / "sweep_six_sets.json"
         assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
         with open(tmp_path / "six_sets_sweep.csv", newline="") as handle:
             assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 24
-        assert len(builds) == 48
+        assert len(builds) == 24
+
+    def test_sweep_composes_once_per_run_of_one_set(self, tmp_path, monkeypatch):
+        # Not a cache: a set listed again after another is composed again.
+        other = {"left": [{"kind": "dct", "order": 32, "sampling_rate": 0.906}],
+                 "right": [{"kind": "haar", "order": 64, "sampling_rate": 0.906}]}
+        sets, sigmas = [BASE_CONFIG["hybrid"], other, BASE_CONFIG["hybrid"]], [0.0, 0.01]
+        path = write_config(tmp_path, {"base": BASE_CONFIG,
+                                       "vary": {"hybrid_sets": sets, "sigmas": sigmas}})
+        composes = record_calls(monkeypatch, measurement.compose_chain, [cli])
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(composes) == 3
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 6
+        scene = parse_config(BASE_CONFIG).object.build()
+        for row, (hybrid, sigma) in zip(rows, itertools.product(sets, sigmas)):
+            config = parse_config(with_overrides(dict(BASE_CONFIG, hybrid=hybrid), sigma=sigma))
+            report = run_experiment(config, scene)[3]
+            expected = {"psnr_db": f"{report.psnr_db:.6g}", "ssim": f"{report.ssim:.6g}",
+                        "mse": f"{report.mse:.6g}", "significant_count": str(report.significant_count)}
+            assert {key: row[key] for key in expected} == expected
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call may leave state in it."""
+
+    def test_flags_of_one_call_do_not_carry_to_the_next(self, tmp_path):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(config_path), "--out", str(out1), "--seed", "5",
+                     "--sigma", "0.05", "--quiet"]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(out2), "--quiet"]) == 0
+        first, second = (json.loads((out / "buckets.csv.json").read_text()) for out in (out1, out2))
+        assert (first["seed"], first["noise_sigma"]) == (5, 0.05)
+        assert (second["seed"], second["noise_sigma"]) == (42, 0.01)
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_does_not_break_the_next_call(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["metrics", "--seed", "1", "--config", str(config_path)]) == 1
+        assert "usage: hybridgi" in capsys.readouterr().err
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+
+    def test_help_twice_prints_the_same_text(self, capsys):
+        texts = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: hybridgi") and texts[0] == texts[1]
+
+    def test_a_call_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # Building a parser per call left 346 objects in reference cycles.
+        base = {"object": {"generator": "windmill", "height": 8, "width": 8, "blade_count": 2},
+                "hybrid": {"left": [{"kind": "hadamard", "order": 8}],
+                           "right": [{"kind": "dct", "order": 8}]}}
+        path = write_config(tmp_path, {"base": base, "vary": {"sigmas": [0.0, 0.01]}})
+        sweep = ["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]
+        assert main(["footprint", "8", "8"]) == 0  # the warm-up builds the parser
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in (["footprint", "8", "8"], sweep):
+                assert main(argv) == 0
+                assert gc.collect() == 0, argv
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestExitCodes:
