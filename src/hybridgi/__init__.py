@@ -41,6 +41,7 @@ from .metrics import (
     psnr,
     quality_report,
     ssim,
+    ssim_reference,
 )
 from .reconstruct import (
     ReconstructionResult,

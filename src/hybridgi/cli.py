@@ -17,7 +17,8 @@ from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, w
 from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
 from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fields,
                           footprint_report)
-from .metrics import SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region
+from .metrics import (SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region,
+                      ssim_reference)
 from .reconstruct import reconstruct_chain
 from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal
 
@@ -89,11 +90,12 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
-def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None):
+def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None):
     """Full pipeline: acquire -> reconstruct -> score. Writes no file.
 
     Both stages share ``factors``, compose_chain(config.hybrid)'s pair. ``run`` leaves it
-    out: composed here, it is let go before scoring. ``sweep`` holds one through a run of rows.
+    out: composed here, it is let go before scoring. ``sweep`` holds one through a run of rows,
+    and one ``prepared``, the scene's ssim_reference over the roi, through all of them.
     """
     scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
     require_ssim_region(scene, config.metrics.get("roi"))
@@ -102,7 +104,8 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None):
     try:
         result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
         del factors
-        report = quality_report(scene, result.image, buckets=buckets, **config.metrics)
+        report = quality_report(scene, result.image, buckets=buckets, prepared=prepared,
+                                **config.metrics)
     except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
     return scene, buckets, result, report
@@ -154,6 +157,9 @@ def cmd_metrics(args) -> int:
     recon = fileio.read_finite_matrix(paths.image_csv)
     if recon.dtype.kind == "c":  # a reconstruction is real: a complex token marks a corrupt file
         raise ImageParseError(f"{paths.image_csv}: complex value in a real image")
+    if recon.shape != scene.values.shape:  # a cut row or column marks one too
+        raise ImageParseError(f"{paths.image_csv}: image shape {recon.shape} does not match "
+                              f"the object's {scene.values.shape}")
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
     _write_report(config, paths.report, report)
@@ -183,7 +189,7 @@ def cmd_sweep(args) -> int:
         scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
-    rows, factors, composed = [], None, None
+    rows, factors, composed, prepared = [], None, None, None
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
         raw = dict(base)
         if hybrid is not None:
@@ -204,7 +210,9 @@ def cmd_sweep(args) -> int:
             if config.hybrid != composed:  # rows run set by set: one pair per run of rows
                 factors = None  # let the last set's pair go before composing the next
                 factors, composed = compose_chain(config.hybrid), config.hybrid
-            _, _, _, report = run_experiment(config, scene, factors)
+            _, _, _, report = run_experiment(config, scene, factors, prepared)
+            if prepared is None:  # rows share the scene and roi, which this row's score checked
+                prepared = ssim_reference(scene, config.metrics.get("roi"))
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",

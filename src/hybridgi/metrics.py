@@ -9,8 +9,8 @@ from .errors import ParameterError, ShapeError, ValueOverflowError
 from .simulator import RangeTag, SceneImage
 
 SSIM_WINDOW = 8
-# Rows of windows that ssim scores at once: its working set is a few strips, not planes.
-SSIM_STRIP = 64
+# Windows that ssim scores at once, in whole rows: its working set is strips, not planes.
+SSIM_STRIP_WINDOWS = 8192
 # Default threshold of the bucket sparsity count, relative to the largest magnitude.
 SIGNIFICANCE_REL_TOL = 1e-6
 # An exact recovery's rms error bound, in eps * peak per pixel of the larger
@@ -94,36 +94,64 @@ def require_ssim_region(image, roi: Roi | None = None) -> None:
 
 
 def _window_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each interior 8x8 window of a 2-D array, stride 1.
+    """Sum of each interior 8x8 window over the last two axes, stride 1.
 
     Separable shifted adds (columns, then rows) keep every sum to 8 + 8
     terms, so no rounding error accumulates across the image as it would
     in a summed-area table.
     """
     w = SSIM_WINDOW
-    cols = x.shape[1] - w + 1
-    across = x[:, :cols].copy()
+    cols = x.shape[-1] - w + 1
+    across = x[..., :cols].copy()
     for k in range(1, w):
-        across += x[:, k : k + cols]
-    rows = x.shape[0] - w + 1
-    sums = across[:rows].copy()
+        across += x[..., k : k + cols]
+    rows = x.shape[-2] - w + 1
+    del x  # a stack made for this call is freed before the row pass allocates
+    sums = across[..., :rows, :].copy()
     for k in range(1, w):
-        sums += across[k : k + rows]
+        sums += across[..., k : k + rows, :]
     return sums
 
 
-def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
+def _reference_strips(a: np.ndarray):
+    """ssim_reference's strips: at most SSIM_STRIP_WINDOWS windows, in whole rows."""
+    n = SSIM_WINDOW * SSIM_WINDOW
+    rows, cols = a.shape[0] - SSIM_WINDOW + 1, a.shape[1] - SSIM_WINDOW + 1
+    step = max(1, SSIM_STRIP_WINDOWS // cols)
+    for top in range(0, rows, step):
+        stop = min(top + step, rows)
+        strip = a[top : stop + SSIM_WINDOW - 1]
+        sum_a = _window_sums(strip)
+        mu_a = sum_a / n
+        var_a = (_window_sums(strip * strip) - sum_a * mu_a) / (n - 1)
+        yield top, stop, sum_a, mu_a, var_a
+
+
+def ssim_reference(reference, roi: Roi | None = None) -> tuple:
+    """ssim's ``prepared``: the compared region's shape and, per strip of window
+    rows, (top, stop, sum_a, mu_a, var_a) of the reference alone."""
+    a = _apply_roi(_as_array(reference), roi)
+    require_ssim_region(a)
+    with np.errstate(all="ignore"):  # an overflow fails ssim's finiteness check
+        return a.shape, tuple(_reference_strips(a))
+
+
+def ssim(reference, test, peak: float, roi: Roi | None = None, prepared=None) -> float:
     """Mean structural similarity over all interior 8x8 windows, stride 1.
 
     Uniform windows with the usual stabilizers c1 = (0.01 * peak)^2 and
     c2 = (0.03 * peak)^2; window statistics use the unbiased (n - 1)
     normalization. The compared region must be at least 8x8. Windows are
-    scored in strips of SSIM_STRIP rows of windows, so that the statistics
-    live one strip at a time beside the one plane of per-window values.
+    scored in strips of at most SSIM_STRIP_WINDOWS, whose statistics live
+    beside the one plane of per-window values. ``prepared``, when given, is
+    ssim_reference(reference, roi), the same statistics of the reference.
     """
     _require_peak(peak)
     a, b = _pair(reference, test, roi)
     require_ssim_region(a)
+    shape, strips = prepared or (a.shape, _reference_strips(a))
+    if shape != a.shape:
+        raise ShapeError(f"prepared reference of shape {shape} vs compared region {a.shape}")
     n = SSIM_WINDOW * SSIM_WINDOW
     c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
     if float(c1) * float(c2) == math.inf:  # the denominator's least value overflows
@@ -131,24 +159,23 @@ def ssim(reference, test, peak: float, roi: Roi | None = None) -> float:
             f"the SSIM window statistics overflow at peak {peak}: "
             "the product c1 * c2 of its stabilizers is not finite"
         )
-    rows = a.shape[0] - SSIM_WINDOW + 1
-    per_window = np.empty((rows, a.shape[1] - SSIM_WINDOW + 1))
+    per_window = np.empty((a.shape[0] - SSIM_WINDOW + 1, a.shape[1] - SSIM_WINDOW + 1))
     nonzero = finite = True
-    for top in range(0, rows, SSIM_STRIP):
-        stop = min(top + SSIM_STRIP, rows)
-        strip_a, strip_b = a[top : stop + SSIM_WINDOW - 1], b[top : stop + SSIM_WINDOW - 1]
-        with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
-            # The textbook expressions, which take the same operations on every strip.
-            sum_a, sum_b = _window_sums(strip_a), _window_sums(strip_b)
-            mu_a, mu_b = sum_a / n, sum_b / n
-            var_a = (_window_sums(strip_a * strip_a) - sum_a * mu_a) / (n - 1)
-            var_b = (_window_sums(strip_b * strip_b) - sum_b * mu_b) / (n - 1)
-            cov = (_window_sums(strip_a * strip_b) - sum_a * mu_b) / (n - 1)
+    with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
+        for top, stop, sum_a, mu_a, var_a in strips:
+            strip_a, strip_b = a[top : stop + SSIM_WINDOW - 1], b[top : stop + SSIM_WINDOW - 1]
+            # The window sums of b, b*b and a*b in one pass, then the textbook
+            # expressions, which take the same operations on every strip.
+            sum_b, sum_bb, sum_ab = _window_sums(np.stack((strip_b, strip_b * strip_b,
+                                                           strip_a * strip_b)))
+            mu_b = sum_b / n
+            var_b = (sum_bb - sum_b * mu_b) / (n - 1)
+            cov = (sum_ab - sum_a * mu_b) / (n - 1)
             denominator = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
             np.divide((2 * mu_a * mu_b + c1) * (2 * cov + c2), denominator,
                       out=per_window[top:stop])
-        nonzero &= bool(denominator.all())  # a flat window of zeros has the denominator c1 * c2
-        finite &= bool(np.isfinite(denominator).all())
+            nonzero &= bool(denominator.all())  # a flat zero window's denominator is c1 * c2
+            finite &= bool(np.isfinite(denominator).all())
     if not nonzero:
         raise ParameterError(f"the SSIM stabilizers' product c1 * c2 underflows at peak {peak}")
     if not (finite and np.isfinite(per_window).all()):
@@ -206,11 +233,12 @@ def quality_report(
     roi: Roi | None = None,
     buckets=None,
     rel_tol: float = SIGNIFICANCE_REL_TOL,
+    prepared=None,
 ) -> QualityReport:
     """Bundle psnr/ssim/mse (and bucket sparsity when buckets are given).
 
     When peak is omitted it defaults to the declared range width of the
-    reference scene (1.0 for reflectance, 2.0 for signed).
+    reference scene (1.0 for reflectance, 2.0 for signed). ``prepared`` goes to ssim.
 
     A recovery is exact when its mse is at most (8 * n * eps * peak)^2, n
     the larger compared side. It reports mse = 0.0 and the finite psnr_db
@@ -231,7 +259,7 @@ def quality_report(
     exact = err <= (margin * peak) ** 2
     return QualityReport(
         psnr_db=-20.0 * math.log10(margin) if exact else _psnr_of(err, peak),
-        ssim=ssim(reference, test, peak, roi),
+        ssim=ssim(reference, test, peak, roi, prepared),
         mse=0.0 if exact else err,
         significant_count=count,
         roi=roi,

@@ -294,6 +294,69 @@ class TestComposeOnce:
             assert {key: row[key] for key in expected} == expected
 
 
+class TestPreparedReference:
+    """A sweep takes its scene's SSIM statistics once, at its first scored row."""
+
+    @staticmethod
+    def sweep_rows(tmp_path, monkeypatch, path) -> tuple[list, list[dict]]:
+        """ssim_reference's calls through cli and the rows of a sweep over ``path``."""
+        prepares = record_calls(monkeypatch, cli.ssim_reference, [cli])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        table = json.loads(path.read_text()).get("table", "sweep.csv")
+        with open(out / table, newline="") as handle:
+            return prepares, list(csv.DictReader(handle))
+
+    def test_six_sets_prepare_once(self, tmp_path, monkeypatch):
+        prepares, rows = self.sweep_rows(tmp_path, monkeypatch, CONFIGS / "sweep_six_sets.json")
+        assert [row["status"] for row in rows] == ["ok"] * 24
+        assert len(prepares) == 1
+
+    @pytest.mark.parametrize("metrics", [{}, {"roi": [2, 3, 20, 40], "rel_tol": 0.01}],
+                             ids=["whole", "roi"])
+    def test_rows_score_as_unprepared_runs(self, tmp_path, monkeypatch, metrics):
+        # Full precision: each row's report against a run of its config alone.
+        other = {"left": [{"kind": "dct", "order": 32, "sampling_rate": 0.906}],
+                 "right": [{"kind": "haar", "order": 64}]}
+        base = dict(BASE_CONFIG, metrics=metrics)
+        path = write_config(tmp_path, {"base": base, "vary": {
+            "hybrid_sets": [base["hybrid"], other], "sigmas": [0.0, 0.05]}}, "sweep.json")
+        reports = []
+
+        def recorded(*args):
+            reports.append((args, run_experiment(*args)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(cli, "run_experiment", recorded)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(reports) == 4
+        assert [args[3] is None for args, _ in reports] == [True, False, False, False]
+        for (config, *_), (_, _, _, report) in reports:
+            alone = run_experiment(config, config.object.build())[3]
+            assert (report.psnr_db, report.ssim, report.mse) == (alone.psnr_db, alone.ssim,
+                                                                 alone.mse)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [(dict(SEPARABLE, left_order=4, right_order=4),
+          "region (4, 4) smaller than the 8x8 ssim window"),
+         ({"path": "scene.csv", "range": "reflectance"},
+          "scene values [0, 1.5] lie outside the declared reflectance range [0.0, 1.0]")],
+        ids=["4x4-object", "2x2-object-out-of-range"],
+    )
+    def test_scene_that_fails_scoring_prepares_nothing(self, tmp_path, monkeypatch, obj,
+                                                       message):
+        (tmp_path / "scene.csv").write_text("0.5,1.5\n0,1\n")
+        order = 4 if obj.get("generator") else 2
+        hybrid = {"left": [{"kind": "hadamard", "order": order}],
+                  "right": [{"kind": "dct", "order": order}]}
+        path = write_config(tmp_path, {"base": dict(BASE_CONFIG, object=obj, hybrid=hybrid),
+                                       "vary": {"sigmas": [0.0, 0.01]}}, "sweep.json")
+        prepares, rows = self.sweep_rows(tmp_path, monkeypatch, path)
+        assert [row["message"] for row in rows] == [message] * 2
+        assert prepares == []
+
+
 class TestSharedParser:
     """main builds its parser once per process; no call may leave state in it."""
 
@@ -802,7 +865,10 @@ class TestExitCodes:
         "command, name, edit, message",
         [("reconstruct", "buckets.csv", "cut-row", "does not match the sidecar's kept rows"),
          ("metrics", "buckets.csv", "cut-row", "does not match the sidecar's kept rows"),
-         ("metrics", "recon.csv", "complex", "complex value in a real image")],
+         ("metrics", "recon.csv", "complex", "complex value in a real image"),
+         ("metrics", "recon.csv", "cut-row", "image shape (31, 64) does not match the object's"),
+         ("metrics", "recon.csv", "cut-column",
+          "image shape (32, 63) does not match the object's (32, 64)")],
     )
     def test_data_file_that_is_not_its_run_is_io_error(self, tmp_path, capsys, command, name,
                                                        edit, message):
@@ -814,6 +880,8 @@ class TestExitCodes:
         lines = (out / name).read_text().splitlines(keepends=True)
         if edit == "cut-row":
             lines.pop()
+        elif edit == "cut-column":
+            lines = [line.rsplit(",", 1)[0] + "\n" for line in lines]
         else:
             lines[0] = lines[0].replace(",", "+1j,", 1)
         (out / name).write_text("".join(lines))

@@ -17,8 +17,12 @@ from hybridgi import (
     psnr,
     quality_report,
     ssim,
+    ssim_reference,
 )
 from hybridgi.metrics import SSIM_WINDOW, _window_sums, significant
+
+# The last has two strips of windows, the second one partial.
+PLANE_SHAPES = [(8, 8), (13, 29), (64, 40), (72, 9), (256, 256), (300, 40)]
 
 
 class TestMse:
@@ -159,7 +163,7 @@ def _window_sums_stacked(x):
 
 class TestSsimPlanes:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", [(8, 8), (13, 29), (64, 40), (72, 9), (256, 256)])
+    @pytest.mark.parametrize("shape", PLANE_SHAPES)
     def test_per_plane_sums_equal_stacked_sums_bitwise(self, seed, shape):
         # ssim evaluates its statistics one strip of window rows at a time;
         # stacked_ssim evaluates each one as a single expression of whole
@@ -177,10 +181,33 @@ class TestSsimPlanes:
         roi = (top, left, height, width)
         assert ssim(a, b, peak, roi) == stacked_ssim(a[top:, left:], b[top:, left:], peak)
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", PLANE_SHAPES)
+    def test_prepared_reference_gives_the_same_bits(self, seed, shape):
+        # Signed values, then the roi of the test above.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        b = a + rng.normal(scale=0.1, size=shape)
+        peak = float(rng.uniform(0.5, 4.0))
+        height, width = max(8, shape[0] * 7 // 8), max(8, shape[1] * 7 // 8)
+        for roi in (None, (shape[0] - height, shape[1] - width, height, width)):
+            prepared = ssim_reference(a, roi)
+            assert ssim(a, b, peak, roi, prepared) == ssim(a, b, peak, roi)
+            assert (quality_report(a, b, peak, roi, prepared=prepared)
+                    == quality_report(a, b, peak, roi))
+
+    def test_prepared_reference_of_another_region_is_rejected(self):
+        a = np.random.default_rng(3).random((16, 24))
+        with pytest.raises(ShapeError, match=r"prepared reference of shape \(16, 23\)"):
+            ssim(a, a, 1.0, None, ssim_reference(a[:, 1:]))
+        with pytest.raises(ShapeError, match=r"vs compared region \(8, 8\)"):
+            quality_report(a, a, 1.0, (0, 0, 8, 8), prepared=ssim_reference(a))
+
     def test_memory_on_256_squared(self):
         # The 249x249 per-window plane (0.47 MiB) beside the statistics and
-        # temporaries of one strip of 64 window rows (about 0.12 MiB each),
-        # never whole planes of them. About 1.84 MiB; the bound leaves 0.16 MiB.
+        # temporaries of one strip of 8192 windows (32 rows of 249, about
+        # 0.06 MiB a plane), never whole planes of them. About 1.60 MiB; the
+        # bound leaves 0.40 MiB.
         rng = np.random.default_rng(9)
         a, b = rng.random((256, 256)), rng.random((256, 256))  # 0.5 MiB each
         tracemalloc.start()
@@ -191,6 +218,33 @@ class TestSsimPlanes:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * (1 << 20)
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_prepared_call_takes_no_more_memory_on_256_squared(self):
+        # The reference's strips are held already: about 1.41 MiB against 1.60.
+        rng = np.random.default_rng(9)
+        a, b = rng.random((256, 256)), rng.random((256, 256))
+        prepared = ssim_reference(a)
+        assert self.traced_peak(lambda: ssim(a, b, 1.0, None, prepared)) <= self.traced_peak(
+            lambda: ssim(a, b, 1.0))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 40), (256, 256), (300, 40)])
+    def test_prepared_reference_holds_at_most_five_planes(self, shape):
+        # sum_a, mu_a and var_a: three planes of the windows' floats.
+        shape_held, strips = ssim_reference(np.ones(shape))
+        held = sum(value.nbytes for strip in strips for value in strip
+                   if isinstance(value, np.ndarray))
+        assert shape_held == shape
+        assert held <= 5 * (shape[0] - 7) * (shape[1] - 7) * 8
 
 
 class TestLargeValues:
