@@ -43,6 +43,14 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
+def strict_json(path) -> dict:
+    """The JSON file at ``path``, which holds no NaN or Infinity constant."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def record_calls(monkeypatch, function, modules=None):
     """Wrap ``function`` in each of ``modules`` (every hybridgi module by default)
     that binds it; returns the list of the calls' positional arguments."""
@@ -197,9 +205,6 @@ class TestRunCommand:
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_exact_recovery_report_is_strict_json(self, tmp_path, capsys):
-        def reject(constant):
-            raise ValueError(f"non-finite JSON constant {constant}")
-
         exact = dict(BASE_CONFIG, object=dict(BASE_CONFIG["object"], height=16, width=16),
                      hybrid={"left": [{"kind": "identity", "order": 16}],
                              "right": [{"kind": "identity", "order": 16}]},
@@ -207,7 +212,7 @@ class TestRunCommand:
         config_path = write_config(tmp_path, exact)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        quality = json.loads((out / "report.json").read_text(), parse_constant=reject)["quality"]
+        quality = strict_json(out / "report.json")["quality"]
         assert quality["mse"] == 0.0
         assert quality["psnr_db"] == pytest.approx(-20 * np.log10(8 * 16 * np.finfo(float).eps))
         assert f"psnr={quality['psnr_db']:.2f} " in capsys.readouterr().out
@@ -223,6 +228,12 @@ class TestRunCommand:
             assert main([command, *argv]) == 0
             written.append((image.read_bytes(), image.with_suffix(".csv").read_bytes()))
         assert written[0] == written[1]
+        # metrics scores the staged image as run did, and both reports are strict JSON.
+        reports = [strict_json(paths.report)]
+        assert main(["metrics", *argv]) == 0
+        reports.append(strict_json(paths.report))
+        for key in ("set", "sampling_rate", "quality"):
+            assert reports[1][key] == reports[0][key], key
 
     @pytest.mark.parametrize("commands", [["run"], ["gen-object", "acquire", "reconstruct",
                                                     "metrics"]], ids=["run", "stages"])
@@ -536,7 +547,7 @@ class TestExitCodes:
         config_path = write_config(tmp_path, config)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
-        report = json.loads((tmp_path / config["outputs"]["report"]).read_text())
+        report = strict_json(tmp_path / config["outputs"]["report"])
         assert report["quality"]["significant_count"] == 0
 
     @pytest.mark.filterwarnings("error")

@@ -1,4 +1,4 @@
-"""The CI workflow's shell probes, run as ``python -m hybridgi.cli`` subprocesses.
+"""CLI probes run as ``python -m hybridgi.cli`` subprocesses, and the map of all CLI probes.
 
 Each test keeps its probe's checks: the exit code, the stderr text, no
 ``Traceback``, the ``cmp`` byte checks, and no ``--out`` left behind.
@@ -6,41 +6,66 @@ Warnings are errors, as in CI. A fresh interpreter per call also draws a
 fresh string-hash seed, so a rerun that matches is deterministic across
 processes, not only within one.
 
-The "Stage commands reproduce a run" step's probes that this module does
-not hold are checked in-process by these tier-1 tests of ``tests/test_cli.py``
-(``tests/test_acceptance.py`` for criterion 12):
+CI's workflow runs only ``hybridgi footprint 32 64`` and ``hybridgi
+demo-stripes`` through the installed console script. Each probe that its
+shell steps ran before is checked by one of these tier-1 tests. In this
+module, as subprocesses:
 
-- run, then reconstruct on a copy, the same CSV and PGM:
-  ``TestRunCommand::test_reconstruct_reproduces_run_image``; metrics on the
-  staged copy: ``TestRunCommand::test_stage_commands_chain_together``.
+- ``metrics --seed 1`` is a usage error (exit 1, ``usage: hybridgi``, no
+  --out): ``test_flag_of_another_command_is_a_usage_error``.
+- the six-set sweep, run twice, writes the same table:
+  ``test_sweep_rerun_writes_the_same_table``.
+- the dft staged round trips, both sides: ``test_dft_stages_reproduce_a_run[right]``,
+  ``test_dft_stages_reproduce_a_run[left]``.
+- the noisy reruns write the same buckets:
+  ``test_noisy_rerun_writes_the_same_buckets[stripes_compression-0.05-7]``,
+  ``[chained_transforms-0.05-3]`` and ``[windmill_sub_nyquist-0.01-42]``.
+- the gen-object reruns write the same image:
+  ``test_gen_object_rerun_writes_the_same_image[stripes]``, ``[windmill]``, ``[separable]``.
+- a 512x512 physical run, twice, within the timeout and to the same buckets:
+  ``test_physical_acquisition_at_512_squared_is_closed_form``.
+
+In-process, through ``main``, in ``tests/test_cli.py`` (``tests/test_acceptance.py``
+for criterion 12). A ``main`` that returns its code has printed no traceback, and
+tier-1 turns warnings into errors as ``PYTHONWARNINGS=error`` did:
+
+- sigma 1e308 and 1e307 by flag (exit 3, ``sigma ... is too large``):
+  ``TestExitCodes::test_overflowing_sigma_is_numeric_error[stripes_compression.json-flag]``,
+  ``[stripes_compression.json-flag-1e307]``, and the same by config and for
+  ``chained_transforms.json``.
+- run, then reconstruct, the same CSV and PGM, then metrics, the same
+  quality in a strict-JSON report:
+  ``TestRunCommand::test_reconstruct_reproduces_run_image[windmill_sub_nyquist.json]``
+  and the other shipped run configs; the stage chain from gen-object:
+  ``TestRunCommand::test_stage_commands_chain_together``.
 - a rerun writes the same buckets: ``TestRunCommand::test_byte_identical_reruns``,
-  ``test_criterion_12_determinism_byte_identical``.
+  ``test_acceptance.py::test_criterion_12_determinism_byte_identical``.
 - a cut bucket CSV for reconstruct and metrics, a complex token in the
-  reconstruction CSV (exit 2):
-  ``TestExitCodes::test_data_file_that_is_not_its_run_is_io_error``.
-- every report is strict JSON: ``TestRunCommand::test_exact_recovery_report_is_strict_json``
-  and, here, each report that a port writes.
-- an undecodable config (exit 1): ``TestExitCodes::test_undecodable_byte_is_reported``.
+  reconstruction CSV (exit 2): ``TestExitCodes::test_data_file_that_is_not_its_run_is_io_error``,
+  its cases ``[reconstruct-buckets.csv-cut-row-...]``,
+  ``[metrics-buckets.csv-cut-row-...]`` and ``[metrics-recon.csv-complex-...]``.
+- every report is strict JSON: ``TestRunCommand::test_exact_recovery_report_is_strict_json``,
+  ``TestRunCommand::test_reconstruct_reproduces_run_image``,
+  ``TestExitCodes::test_huge_rel_tol_runs_clean``, and each report that a port
+  here writes.
+- an undecodable config (exit 1): ``TestExitCodes::test_undecodable_byte_is_reported[config-run-1]``.
 - 1e200 in the reconstruction CSV (exit 3):
   ``TestExitCodes::test_overflowing_reconstruction_is_numeric_error``.
 - a blade_count of 10**400 (exit 1):
   ``TestExitCodes::test_bad_generator_parameters_are_config_errors[huge-blade-count]``.
 - peak 1e-320 (exit 3, names peak):
-  ``TestExitCodes::test_peak_with_underflowing_stabilizers_is_numeric_error``.
+  ``TestExitCodes::test_peak_with_underflowing_stabilizers_is_numeric_error[1e-320-...]``.
 - rel_tol 1e308 runs with an empty stderr: ``TestExitCodes::test_huge_rel_tol_runs_clean``.
 - a hadamard of order 48 (exit 1, names ``hybrid.left[0].order``):
   ``TestExitCodes::test_unbuildable_order_is_config_error[hadamard-48]``.
 - outputs that collide (exit 1, no --out):
-  ``TestExitCodes::test_colliding_output_names_are_config_errors``.
+  ``TestExitCodes::test_colliding_output_names_are_config_errors[run-image-csv-and-buckets]``.
 - gen-object of a CSV scene holding nan (exit 3, no PGM, no --out):
-  ``TestExitCodes::test_non_finite_scene_is_no_pgm_object``,
+  ``TestExitCodes::test_non_finite_scene_is_no_pgm_object[nan]``,
   ``TestExitCodes::test_failing_command_makes_no_out_directory[gen-object-nan-scene]``.
 - a 4x4 object under the ssim window (exit 3, no --out):
   ``TestExitCodes::test_small_compared_region_fails_before_acquiring[4x4-separable]``,
   ``TestExitCodes::test_failing_command_makes_no_out_directory[run-4x4-separable]``.
-
-The ports below are the step's probes that no tier-1 test held: the dft
-staged round trips, the noisy reruns, and the gen-object reruns.
 """
 
 import json
@@ -82,7 +107,6 @@ def strict_json(path: Path) -> dict:
 
 
 def test_flag_of_another_command_is_a_usage_error(tmp_path):
-    # "Console script" step: metrics takes no --seed.
     out = tmp_path / "usage"
     done = hybridgi_cli("metrics", "--seed", "1", "--config",
                         str(CONFIGS / "stripes_compression.json"), "--out", str(out))
@@ -123,7 +147,8 @@ def test_dft_stages_reproduce_a_run(tmp_path, hybrid):
 
 
 @pytest.mark.parametrize("name, sigma, seed", [("stripes_compression", "0.05", "7"),
-                                               ("chained_transforms", "0.05", "3")])
+                                               ("chained_transforms", "0.05", "3"),
+                                               ("windmill_sub_nyquist", "0.01", "42")])
 def test_noisy_rerun_writes_the_same_buckets(tmp_path, name, sigma, seed):
     config = CONFIGS / f"{name}.json"
     outputs = json.loads(config.read_text())["outputs"]
@@ -152,3 +177,33 @@ def test_gen_object_rerun_writes_the_same_image(tmp_path, obj):
         run_clean("gen-object", "--config", str(config), "--out", str(out))
         images.append((out / "object.pgm").read_bytes())
     assert images[0] == images[1]
+
+
+def test_sweep_rerun_writes_the_same_table(tmp_path):
+    # TestSweep::test_shipped_sweep_config_is_accepted reruns it within one process.
+    config = CONFIGS / "sweep_six_sets.json"
+    table = json.loads(config.read_text())["table"]
+    written = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        run_clean("sweep", "--config", str(config), "--out", str(out))
+        written.append((out / table).read_bytes())
+    assert written[0] == written[1]
+
+
+def test_physical_acquisition_at_512_squared_is_closed_form(tmp_path):
+    # A per-pattern loop would take minutes here, past hybridgi_cli's timeout;
+    # the closed form takes about a second.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "object": {"generator": "windmill", "height": 512, "width": 512, "blade_count": 4},
+        "hybrid": {"left": [{"kind": "hadamard", "order": 512}],
+                   "right": [{"kind": "haar", "order": 512}]},
+        "noise": {"sigma": 0.01, "seed": 0},
+        "outputs": {"image": "recon.pgm", "buckets": "buckets.csv", "report": "report.json"},
+    }))
+    written = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        run_clean("run", "--config", str(config), "--out", str(out))
+        written.append((out / "buckets.csv").read_bytes())
+        strict_json(out / "report.json")
+    assert written[0] == written[1]

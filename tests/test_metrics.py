@@ -219,6 +219,15 @@ class TestSsimPlanes:
             tracemalloc.stop()
         assert peak <= 2.0 * (1 << 20)
 
+    def test_memory_on_64_squared(self):
+        # One strip of 57x57 windows: about 358 KiB. In a long-lived process
+        # a 505-KiB layout made the allocator return its heap pages after each
+        # call and fault them back on the next, about 90 minor faults and twice
+        # the time per call; 256^2's bound cannot see a difference that small.
+        rng = np.random.default_rng(9)
+        a, b = rng.random((64, 64)), rng.random((64, 64))
+        assert self.traced_peak(lambda: ssim(a, b, 1.0)) <= 0.40 * (1 << 20)
+
     @staticmethod
     def traced_peak(call) -> int:
         tracemalloc.start()
