@@ -70,6 +70,7 @@ from .simulator import (
     normalize_pattern,
     project,
     split_pattern,
+    unit_draws,
 )
 from .transforms import (
     TransformKind,

@@ -20,7 +20,8 @@ from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fi
 from .metrics import (SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region,
                       ssim_reference)
 from .reconstruct import reconstruct_chain
-from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal
+from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal, require_orders, unit_draws
+from .transforms import build_transform
 
 EXIT_CONFIG = 1
 EXIT_IO = 2
@@ -57,10 +58,10 @@ def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneIma
     return config, scene, config.outputs.resolved(_out_dir(args))
 
 
-def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None):
+def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None, draws=None):
     if config.uses_dft:
         return acquire_ideal(config.hybrid, scene, factors)
-    return acquire(config.hybrid, scene, config.noise, factors)
+    return acquire(config.hybrid, scene, config.noise, factors, draws)
 
 
 def _summary_line(config: ExperimentConfig, report) -> str:
@@ -90,17 +91,21 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
-def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None):
+def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None,
+                   draws=None):
     """Full pipeline: acquire -> reconstruct -> score. Writes no file.
 
     Both stages share ``factors``, compose_chain(config.hybrid)'s pair. ``run`` leaves it
-    out: composed here, it is let go before scoring. ``sweep`` holds one through a run of rows,
-    and one ``prepared``, the scene's ssim_reference over the roi, through all of them.
+    out: composed here, once the scene fits the set, it is let go before scoring. ``sweep``
+    holds one through a run of rows, one ``prepared``, the scene's ssim_reference over the
+    roi, through all of them, and one ``draws``, a unit_draws table of the row's seed.
     """
     scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
     require_ssim_region(scene, config.metrics.get("roi"))
-    factors = compose_chain(config.hybrid) if factors is None else factors
-    buckets = _acquire(config, scene, factors)
+    if factors is None:
+        require_orders(config.hybrid, scene)  # then its shape, before the set's matrices are built
+        factors = compose_chain(config.hybrid)
+    buckets = _acquire(config, scene, factors, draws)
     try:
         result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
         del factors
@@ -189,7 +194,10 @@ def cmd_sweep(args) -> int:
         scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
-    rows, factors, composed, prepared = [], None, None, None
+    # A set is composed only once it fits the scene, so the memo of builds, which lives as
+    # long as this call, holds at most one matrix per kind at each of the scene's two orders.
+    rows, build = [], functools.cache(build_transform)
+    factors = composed = prepared = draws = None
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
         raw = dict(base)
         if hybrid is not None:
@@ -208,9 +216,20 @@ def cmd_sweep(args) -> int:
             if isinstance(scene, Exception):
                 raise scene
             if config.hybrid != composed:  # rows run set by set: one pair per run of rows
+                if prepared is None:  # until a row scores, a scene's faults fail first
+                    scene.assert_in_range()
+                    require_ssim_region(scene, config.metrics.get("roi"))
+                require_orders(config.hybrid, scene)  # then its shape, before the set's builds
                 factors = None  # let the last set's pair go before composing the next
-                factors, composed = compose_chain(config.hybrid), config.hybrid
-            _, _, _, report = run_experiment(config, scene, factors, prepared)
+                factors, composed = compose_chain(config.hybrid, build), config.hybrid
+            # One table of draws serves the rows of a seed, until one takes more than it holds.
+            per = scene.range_tag.projections
+            count = per * config.hybrid.left_kept * config.hybrid.right_kept
+            if config.noise.sigma > 0.0 and (
+                    draws is None or draws[0] != config.noise.seed or draws[1].shape[1] < count):
+                draws = None  # let the last table go before drawing the next
+                draws = unit_draws(config.noise.seed, count)
+            _, _, _, report = run_experiment(config, scene, factors, prepared, draws)
             if prepared is None:  # rows share the scene and roi, which this row's score checked
                 prepared = ssim_reference(scene, config.metrics.get("roi"))
             row.update(

@@ -366,17 +366,20 @@ def pattern(left, right, m: int, n: int) -> np.ndarray:
     return left.entries[m, :, None] * right.entries[n].conj()
 
 
-def compose_chain(spec: HybridSpec) -> tuple[TransformMatrix, TransformMatrix]:
+def compose_chain(spec: HybridSpec, build=None) -> tuple[TransformMatrix, TransformMatrix]:
     """Collapse each side's chain into one effective truncated factor.
 
     The first chain entry is applied first, so the effective matrix is the
     reversed product of the factors. Truncation keeps the first kept_rows
     rows of that product, which is the same as truncating the outermost
-    factor. Single-entry chains come back unchanged.
+    factor. Single-entry chains come back unchanged. ``build(kind, order)``
+    makes each factor, build_transform when absent: a caller that composes
+    many sets may pass a memo of it.
     """
+    build = build_transform if build is None else build
 
     def side(chain: tuple[ChainEntry, ...]) -> TransformMatrix:
-        first, *later = (build_transform(e.kind, e.order) for e in chain)
+        first, *later = (build(e.kind, e.order) for e in chain)
         if later:
             product = reduce(lambda p, f: f.entries @ p, later, first.entries)
             first = TransformMatrix(TransformKind.COMPOSITE, product)

@@ -8,7 +8,9 @@ same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
-stream. The module keeps no state.
+stream. The module keeps no state: a caller that acquires many sets with
+one seed may take the seed's draws once, at unit sigma, with ``unit_draws``,
+and pass that table to each ``acquire``.
 
 ``acquire`` computes every bucket of a set at once, in closed form.
 Pattern (m, n) is the outer product of rows L_m and R_n, at scale a_m b_n
@@ -61,6 +63,11 @@ class RangeTag(str, Enum):
     def width(self) -> float:
         lo, hi = self.bounds
         return hi - lo
+
+    @property
+    def projections(self) -> int:
+        """Physical projections per bucket: the pattern's halves, times the scene's when signed."""
+        return 4 if self is RangeTag.SIGNED else 2
 
 
 @dataclass(frozen=True)
@@ -138,26 +145,61 @@ class BucketSignals:
         object.__setattr__(self, "values", values)
 
 
-def _noise_blocks(sigma: float, seed: int, start: int, count: int):
-    """Noise draws ``start``, ``start + 1``, ... of ``seed``, in arrays of ``count``.
+def _unit_blocks(seed: int, start: int, count: int):
+    """Draws ``start``, ``start + 1``, ... of ``seed`` at unit sigma, as (2, ``count``) arrays.
 
-    Draw k is sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller), with
-    u1, u2 = (w >> 11) * 2**-53 for the words w = 2k, 2k + 1 of the
-    Philox(key=seed) stream. Philox is counter-based: block j of that stream
-    (words 4j .. 4j + 3) is what Philox(key=seed, counter=[j, 0, 0, 0])
-    yields first, so a local generator can start at any draw. Every ufunc
-    below works element by element on contiguous arrays, so a draw does not
-    depend on the block's length or on the block that yields it.
+    Draw k is (root * sigma) * cosine (Box-Muller), with root = sqrt(-2 log1p(-u1))
+    and cosine = cos(2 pi u2), rows 0 and 1 of a block, and u1, u2 = (w >> 11) *
+    2**-53 for the words w = 2k, 2k + 1 of the Philox(key=seed) stream. Philox
+    is counter-based: block j of that stream (words 4j .. 4j + 3) is what
+    Philox(key=seed, counter=[j, 0, 0, 0]) yields first, so a local generator
+    can start at any draw. Every ufunc below works element by element on
+    contiguous arrays, so a draw does not depend on the block's length or on
+    the block that yields it.
     """
     bit_generator = np.random.Philox(key=seed, counter=[start // 2, 0, 0, 0])
     bit_generator.random_raw(2 * (start % 2))  # the word pair before an odd start
     while True:
         words = bit_generator.random_raw(2 * count)
         words >>= 11
-        u1, u2 = np.multiply(words.reshape(count, 2).T, 2.0**-53, out=np.empty((2, count)))
+        block = np.multiply(words.reshape(count, 2).T, 2.0**-53, out=np.empty((2, count)))
+        u1, u2 = block
         np.sqrt(np.multiply(np.log1p(np.negative(u1, out=u1), out=u1), -2.0, out=u1), out=u1)
         np.cos(np.multiply(u2, 2.0 * math.pi, out=u2), out=u2)
-        yield np.multiply(np.multiply(u1, sigma, out=u1), u2, out=u1)
+        yield block
+
+
+def _noise_blocks(sigma: float, seed: int, start: int, count: int):
+    """Noise draws ``start``, ``start + 1``, ... of ``seed``, in arrays of ``count``."""
+    for root, cosine in _unit_blocks(seed, start, count):
+        yield np.multiply(np.multiply(root, sigma, out=root), cosine, out=root)
+
+
+def unit_draws(seed: int, count: int) -> tuple[int, np.ndarray]:
+    """``seed`` and its first ``count`` draws at unit sigma, as a read-only (2, count) array.
+
+    Its rows are (root, cosine): draw k at sigma is (root[k] * sigma) * cosine[k],
+    bit for bit the draw that ``acquire`` makes without a table. It takes 16 B per draw,
+    filled block by block, so making it holds one block more.
+    """
+    seed, table = NoiseModel(seed=seed).seed, np.empty((2, operator.index(count)))
+    blocks = _unit_blocks(seed, 0, _BLOCK_DRAWS)
+    for start in range(0, table.shape[1], _BLOCK_DRAWS):
+        part = table[:, start : start + _BLOCK_DRAWS]
+        part[...] = next(blocks)[:, : part.shape[1]]
+    table.setflags(write=False)
+    return seed, table
+
+
+def _table_blocks(draws, noise: NoiseModel, count: int, size: int):
+    """The first ``count`` draws of ``noise``, in arrays of ``size``, from a unit_draws table."""
+    seed, (root, cosine) = draws
+    if seed != noise.seed:
+        raise ParameterError(f"a noise table of seed {seed} vs noise seed {noise.seed}")
+    if root.size < count:
+        raise ParameterError(f"a noise table of {root.size} draws vs {count} draws to make")
+    sigma = noise.sigma
+    return ((root[k : k + size] * sigma) * cosine[k : k + size] for k in range(0, count, size))
 
 
 def _require_finite(values, sigma: float):
@@ -264,12 +306,25 @@ def measure_bucket(
     largest noise index must fit in 64 bits. The bucket is the signed sum
     of its :func:`project` calls, the pattern's plus half first.
     """
-    per = 4 if scene.range_tag is RangeTag.SIGNED else 2
+    per = scene.range_tag.projections
     start = per * _measurement_index(base_index, per)
     scene.assert_in_range()
     halves = _split(scene.values) if per == 4 else (scene.values,)  # the scene as projected
     pairs = itertools.product(_split(_require_normalized(pattern_values)), halves)
     return _combine([project(p, h, noise, start + j) for j, (p, h) in enumerate(pairs)])
+
+
+def require_orders(spec: HybridSpec, scene: SceneImage, factors=None) -> None:
+    """Raise ShapeError unless the orders of ``factors``, else of ``spec``, match ``scene``'s shape.
+
+    It reads the spec's orders, so a caller can check a set before composing it.
+    """
+    left, right = (spec.left_chain[0], spec.right_chain[0]) if factors is None else factors
+    if left.order != scene.height or right.order != scene.width:
+        raise ShapeError(
+            f"spec orders {left.order}x{right.order} do not match "
+            f"scene {scene.height}x{scene.width}"
+        )
 
 
 def _factors_for(spec: HybridSpec, scene: SceneImage, factors=None):
@@ -278,17 +333,14 @@ def _factors_for(spec: HybridSpec, scene: SceneImage, factors=None):
     Both acquisition paths start here: the factor orders must match the
     scene's shape and its values must lie in its declared range.
     """
-    left, right = compose_chain(spec) if factors is None else factors
-    if left.order != scene.height or right.order != scene.width:
-        raise ShapeError(
-            f"spec orders {left.order}x{right.order} do not match "
-            f"scene {scene.height}x{scene.width}"
-        )
+    require_orders(spec, scene, factors)
     scene.assert_in_range()
-    return left, right
+    return compose_chain(spec) if factors is None else factors
 
 
-def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None) -> BucketSignals:
+def acquire(
+    spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None, draws=None
+) -> BucketSignals:
     """Simulate the physical acquisition of one hybridization set.
 
     Each kept (m, n) pattern v, over its max-abs scale max|L_m| * max|R_n|,
@@ -296,8 +348,10 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None
     halves when signed. The bucket, ``scale`` times the projections' signed
     sum, is L @ X @ R^H plus ``scale`` times the signed sum of their draws.
     The draws come in blocks of whole left rows, at ``measure_bucket``'s
-    indices for measurement m * rows_R + n. A sigma whose noise overflows
-    a bucket raises ParameterError.
+    indices for measurement m * rows_R + n: from ``draws``, unit_draws(noise.seed, n)
+    for an n at least the draws this set takes, else from one generator per call.
+    When it draws, a table of another seed, or too short, raises ParameterError,
+    and so does a sigma whose noise overflows a bucket.
     """
     left, right = _factors_for(spec, scene, factors)
     if np.iscomplexobj(left.entries) or np.iscomplexobj(right.entries):
@@ -307,9 +361,13 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None
         raise DegeneratePatternError("all-zero pattern cannot be normalized")
     buckets = forward(left, right, scene.values)
     if noise.sigma > 0.0:
-        per = 4 if scene.range_tag is RangeTag.SIGNED else 2
+        per = scene.range_tag.projections
         rows = max(1, _BLOCK_DRAWS // (per * right.kept_rows))
-        blocks = _noise_blocks(noise.sigma, noise.seed, 0, per * right.kept_rows * rows)
+        size = per * right.kept_rows * rows
+        if draws is None:
+            blocks = _noise_blocks(noise.sigma, noise.seed, 0, size)
+        else:
+            blocks = _table_blocks(draws, noise, per * buckets.size, size)
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(0, left.kept_rows, rows):
                 part = buckets[m : m + rows]

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -272,19 +273,83 @@ class TestComposeOnce:
         assert composes == [(spec,)]
         assert len(builds) == len(spec.left_chain) + len(spec.right_chain)
 
-    def test_sweep_of_six_sets_builds_two_factors_per_set(self, tmp_path, monkeypatch):
-        # 12 sets, each of one left and one right factor, over 2 sigmas in a row:
-        # 48 builds when each row composed its own pair, 96 when acquisition and
-        # recovery each did.
-        builds = record_calls(monkeypatch, measurement.build_transform, [measurement])
+    def test_sweep_of_six_sets_builds_each_kind_and_order_once(self, tmp_path, monkeypatch):
+        # 12 sets of three kinds at the scene's orders 32 and 64, over 2 sigmas in a
+        # row: 6 builds through the sweep's memo, 24 when each set built its pair, 48
+        # when each row did, 96 when acquisition and recovery each did.
+        builds = record_calls(monkeypatch, measurement.build_transform)
         config_path = CONFIGS / "sweep_six_sets.json"
         assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
         with open(tmp_path / "six_sets_sweep.csv", newline="") as handle:
             assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 24
-        assert len(builds) == 24
+        assert len(builds) == len(set(builds)) == 6
+        assert {order for _, order in builds} == {32, 64}
+
+    def test_sweep_lets_its_built_matrices_go_when_it_returns(self, tmp_path, monkeypatch):
+        built, build_transform = [], cli.build_transform
+
+        def recorded(*args):
+            matrix = build_transform(*args)
+            built.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(cli, "build_transform", recorded)
+        config_path = CONFIGS / "sweep_six_sets.json"
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(built) == 6
+        assert all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_set_that_does_not_fit_the_scene_builds_nothing(self, tmp_path, monkeypatch,
+                                                               capsys, command):
+        # Its orders are checked against the scene before its matrices are built.
+        hybrid = {"left": [{"kind": "dct", "order": 4096}],
+                  "right": [{"kind": "haar", "order": 64}]}
+        message = "spec orders 4096x64 do not match scene 32x64"
+        builds = record_calls(monkeypatch, measurement.build_transform)
+        if command == "run":
+            path = write_config(tmp_path, dict(BASE_CONFIG, hybrid=hybrid))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+                "hybrid_sets": [hybrid, BASE_CONFIG["hybrid"]]}})
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+            with open(tmp_path / "sweep.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert [(row["status"], row["message"]) for row in rows] == [("error", message),
+                                                                         ("ok", "")]
+        assert sorted(order for _, order in builds) == ([] if command == "run" else [32, 64])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "obj, message",
+        [(dict(SEPARABLE, left_order=4, right_order=4),
+          "region (4, 4) smaller than the 8x8 ssim window"),
+         ({"path": "scene.csv", "range": "reflectance"},
+          "scene values [0, 1.5] lie outside the declared reflectance range [0.0, 1.0]")],
+        ids=["4x4-object", "2x2-object-out-of-range"],
+    )
+    def test_a_scene_fault_fails_before_a_set_that_does_not_fit(self, tmp_path, monkeypatch,
+                                                                capsys, obj, message, command):
+        # The 32x64 set fits neither scene; the scene's own fault is reported, and nothing built.
+        (tmp_path / "scene.csv").write_text("0.5,1.5\n0,1\n")
+        builds = record_calls(monkeypatch, measurement.build_transform)
+        config = dict(BASE_CONFIG, object=obj)
+        if command == "run":
+            path = write_config(tmp_path, config)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            path = write_config(tmp_path, {"base": config, "vary": {"sigmas": [0.0, 0.01]}})
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+            with open(tmp_path / "sweep.csv", newline="") as handle:
+                assert [row["message"] for row in csv.DictReader(handle)] == [message] * 2
+        assert [order for _, order in builds if order != 4] == []  # the 4x4 object builds its own
 
     def test_sweep_composes_once_per_run_of_one_set(self, tmp_path, monkeypatch):
-        # Not a cache: a set listed again after another is composed again.
+        # A set listed again after another is composed again: the sweep shares its
+        # built matrices, by kind and order, but not a set's composed pair.
         other = {"left": [{"kind": "dct", "order": 32, "sampling_rate": 0.906}],
                  "right": [{"kind": "haar", "order": 64, "sampling_rate": 0.906}]}
         sets, sigmas = [BASE_CONFIG["hybrid"], other, BASE_CONFIG["hybrid"]], [0.0, 0.01]
@@ -366,6 +431,80 @@ class TestPreparedReference:
         prepares, rows = self.sweep_rows(tmp_path, monkeypatch, path)
         assert [row["message"] for row in rows] == [message] * 2
         assert prepares == []
+
+
+class TestNoiseTable:
+    """A sweep holds one unit_draws table at a time, made when a noisy row's seed differs
+    from the table's or the row takes more draws than it holds."""
+
+    FULL = {"left": [{"kind": "dct", "order": 32}], "right": [{"kind": "haar", "order": 64}]}
+
+    @staticmethod
+    def record_tables(monkeypatch) -> tuple[list, list]:
+        """(seed, draws, weak reference) of each table cli makes, and how many of the
+        earlier ones were alive at each call."""
+        tables, alive_at_call, unit_draws = [], [], cli.unit_draws
+
+        def recorded(*args):
+            alive_at_call.append(sum(table() is not None for *_, table in tables))
+            seed, table = unit_draws(*args)
+            tables.append((seed, table.shape[1], weakref.ref(table)))
+            return seed, table
+
+        monkeypatch.setattr(cli, "unit_draws", recorded)
+        return tables, alive_at_call
+
+    @staticmethod
+    def draws(hybrid) -> int:
+        spec = parse_config(dict(BASE_CONFIG, hybrid=hybrid)).hybrid
+        return 2 * spec.left_kept * spec.right_kept  # a reflectance scene: two per bucket
+
+    def test_rows_of_varied_seeds_draw_as_runs_alone(self, tmp_path, monkeypatch):
+        sets, sigmas, seeds = [BASE_CONFIG["hybrid"], self.FULL], [0.0, 0.05], [3, 4]
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": sets, "sigmas": sigmas, "seeds": seeds}}, "sweep.json")
+        tables, alive_at_call = self.record_tables(monkeypatch)
+        reports = []
+
+        def recorded_run(*args):
+            reports.append((args[0], run_experiment(*args)[3]))
+            return (None, None, None, reports[-1][1])
+
+        monkeypatch.setattr(cli, "run_experiment", recorded_run)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        # Rows run set by set and the seed varies fastest: a table per noisy row here.
+        sub, full = (self.draws(hybrid) for hybrid in sets)
+        assert [(seed, draws) for seed, draws, _ in tables] == [(3, sub), (4, sub),
+                                                                (3, full), (4, full)]
+        assert alive_at_call == [0, 0, 0, 0]
+        assert all(table() is None for *_, table in tables)  # freed when the command returns
+        runs = [(config.hybrid, config.noise.sigma, config.noise.seed) for config, _ in reports]
+        assert runs == [(parse_config(dict(BASE_CONFIG, hybrid=h)).hybrid, sigma, seed)
+                        for h in sets for sigma in sigmas for seed in seeds]
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        scene = parse_config(BASE_CONFIG).object.build()
+        for row, (config, report) in zip(rows, reports, strict=True):
+            alone = run_experiment(config, scene)[3]
+            assert (report.psnr_db, report.ssim, report.mse) == (alone.psnr_db, alone.ssim,
+                                                                 alone.mse)
+            assert (row["psnr_db"], row["ssim"], row["mse"]) == (
+                f"{alone.psnr_db:.6g}", f"{alone.ssim:.6g}", f"{alone.mse:.6g}")
+
+    def test_one_seed_draws_once_unless_a_row_takes_more(self, tmp_path, monkeypatch):
+        tables, alive_at_call = self.record_tables(monkeypatch)
+        config_path = CONFIGS / "sweep_six_sets.json"
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert [(seed, draws) for seed, draws, _ in tables] == [(0, 2 * 32 * 64)]
+        # A sub-Nyquist set first, then a full one: the full set's rows need a longer table.
+        sets = [BASE_CONFIG["hybrid"], self.FULL, BASE_CONFIG["hybrid"]]
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": sets, "sigmas": [0.05, 0.01]}}, "sweep.json")
+        tables.clear(), alive_at_call.clear()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert [(seed, draws) for seed, draws, _ in tables] == [(42, self.draws(sets[0])),
+                                                                (42, self.draws(sets[1]))]
+        assert alive_at_call == [0, 0]
 
 
 class TestSharedParser:

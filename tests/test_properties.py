@@ -22,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hybridgi import (
     BucketSignals,
+    ParameterError,
     PatternRangeError,
     ShapeError,
     UnsupportedPatternError,
@@ -44,9 +45,10 @@ from hybridgi import (
     reconstruct_2d,
     reconstruct_chain,
     ssim,
+    unit_draws,
     vec_rows,
 )
-from hybridgi.measurement import forward
+from hybridgi.measurement import forward, resolve_kept_rows
 from hybridgi.simulator import _noise_blocks
 
 
@@ -482,6 +484,80 @@ def test_acquire_from_eight_threads_equals_serial_calls():
     ]
     want = [acquire(*call).values.tobytes() for call in calls]
     assert in_eight_threads(lambda *call: acquire(*call).values.tobytes(), calls) == want
+
+
+TABLE_SEEDS = (0, 1, (1 << 64) - 1)
+
+
+def table_case(height: int, width: int, range_tag: RangeTag, kept: str):
+    """A chain spec on a height x width scene, kept at full rate, at the sweep's
+    sub-Nyquist rate, or at odd row counts that cut the last noise block short."""
+    rows = {
+        "full": (height, width),
+        "sub-nyquist": (resolve_kept_rows(0.906, height), resolve_kept_rows(0.906, width)),
+        "odd": (height - 3, width // 2 + 1),
+    }[kept]
+    spec = HybridSpec((ChainEntry("hadamard", height), ChainEntry("dct", height, rows[0])),
+                      (ChainEntry("haar", width, rows[1]),))
+    rng = np.random.default_rng([height, width, list(RangeTag).index(range_tag)])
+    lo, hi = range_tag.bounds
+    return spec, SceneImage(rng.uniform(lo, hi, (height, width)), range_tag)
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+@pytest.mark.parametrize("sigma", [1e-3, 0.05])
+@pytest.mark.parametrize("kept", ["full", "sub-nyquist", "odd"])
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+@pytest.mark.parametrize("height, width", [(16, 32), (64, 64)])
+def test_acquire_from_a_table_equals_acquire_without(height, width, range_tag, kept, sigma,
+                                                     seed):
+    # A table of the scene's every draw, as a sweep holds, and one of exactly the set's.
+    spec, scene = table_case(height, width, range_tag, kept)
+    noise = NoiseModel(sigma, seed)
+    want = acquire(spec, scene, noise).values.tobytes()
+    per = range_tag.projections
+    for count in (per * scene.values.size, per * spec.left_kept * spec.right_kept):
+        assert acquire(spec, scene, noise, None, unit_draws(seed, count)).values.tobytes() == want
+        assert acquire(spec, scene, noise, compose_chain(spec),
+                       unit_draws(seed, count)).values.tobytes() == want
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+def test_unit_draws_scale_to_the_noise_draws(seed):
+    got_seed, table = unit_draws(seed, 4099)
+    root, cosine = table
+    assert got_seed == seed and table.shape == (2, 4099) and table.nbytes == 16 * 4099
+    assert not table.flags.writeable
+    assert ((root * 0.05) * cosine).tobytes() == _noise_block(0.05, seed, 0, 4099).tobytes()
+    assert ((root * 0.05) * cosine).tobytes() == oracle_stream(0.05, seed, 4099).tobytes()
+
+
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+def test_an_overflowing_sigma_fails_alike_with_and_without_a_table(range_tag):
+    spec, scene = table_case(16, 32, range_tag, "odd")
+    noise = NoiseModel(1e308, 2)
+    with pytest.raises(ParameterError) as without:
+        acquire(spec, scene, noise)
+    with pytest.raises(ParameterError) as drawn:
+        acquire(spec, scene, noise, None, unit_draws(2, range_tag.projections * 16 * 32))
+    assert type(drawn.value) is type(without.value)
+    message = "sigma 1e+308 is too large: the noisy projections overflow"
+    assert str(drawn.value) == str(without.value) == message
+
+
+def test_a_table_of_another_seed_is_rejected():
+    spec, scene = table_case(16, 32, RangeTag.REFLECTANCE, "full")
+    with pytest.raises(ParameterError, match="^a noise table of seed 4 vs noise seed 3$"):
+        acquire(spec, scene, NoiseModel(0.05, 3), None, unit_draws(4, 2 * 16 * 32))
+
+
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+def test_a_table_too_short_is_rejected(range_tag):
+    spec, scene = table_case(16, 32, range_tag, "odd")
+    count = range_tag.projections * spec.left_kept * spec.right_kept
+    with pytest.raises(ParameterError,
+                       match=f"^a noise table of {count - 1} draws vs {count} draws to make$"):
+        acquire(spec, scene, NoiseModel(0.05, 3), None, unit_draws(3, count - 1))
 
 
 @kind_pairs
