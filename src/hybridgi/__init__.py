@@ -66,11 +66,12 @@ from .simulator import (
     SceneImage,
     acquire,
     acquire_ideal,
+    combined_noise,
     measure_bucket,
+    noise_free,
     normalize_pattern,
     project,
     split_pattern,
-    unit_draws,
 )
 from .transforms import (
     TransformKind,

@@ -16,11 +16,12 @@ from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, with_overrides
 from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
 from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fields,
-                          footprint_report)
+                          footprint_report, forward)
 from .metrics import (SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region,
                       ssim_reference)
 from .reconstruct import reconstruct_chain
-from .simulator import NoiseModel, SceneImage, acquire, acquire_ideal, require_orders, unit_draws
+from .simulator import (NoiseModel, SceneImage, acquire, acquire_ideal, combined_noise,
+                        noise_free, require_orders)
 from .transforms import build_transform
 
 EXIT_CONFIG = 1
@@ -28,7 +29,8 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-VARY_AXES = ("hybrid_sets", "sigmas", "seeds")
+# Each axis of a sweep's "vary", and the config field that its values set.
+VARY_AXES = {"hybrid_sets": "hybrid", "sigmas": "sigma", "seeds": "seed"}
 SWEEP_FIELDS = (
     "index", "set", "sampling_rate", "sigma", "seed",
     "status", "psnr_db", "ssim", "mse", "significant_count", "message",
@@ -50,18 +52,35 @@ def _out_dir(args) -> Path:
     return Path(args.out) if args.out else Path.cwd()
 
 
-def _load_stage(args, sigma=None, seed=None) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
+def _noise_flags(args) -> dict:
+    """The --sigma and --seed that a command which takes them was given."""
+    return {k: v for k in ("sigma", "seed") if (v := getattr(args, k, None)) is not None}
+
+
+def _load_stage(args) -> tuple[ExperimentConfig, SceneImage, OutputPaths]:
     """A stage command's config, the object it describes, and its output paths."""
     data, base_dir = _read_config_json(args)
-    config = parse_config(with_overrides(data, sigma, seed))
+    config = parse_config(with_overrides(data, **_noise_flags(args)))
     scene = config.object.build(base_dir)
     return config, scene, config.outputs.resolved(_out_dir(args))
 
 
-def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None, draws=None):
+def _fit(config: ExperimentConfig, scene: SceneImage, build=None):
+    """The set's composed pair and noise-free terms, once each check passes, each once and in
+    this order: the scene's range, its SSIM region, the set's orders (before any build), then
+    the set's own (``noise_free``)."""
+    scene.assert_in_range()
+    require_ssim_region(scene, config.metrics.get("roi"))
+    require_orders(config.hybrid, scene)
+    factors = compose_chain(config.hybrid, build)
+    return factors, (forward if config.uses_dft else noise_free)(*factors, scene.values)
+
+
+def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None, clean=None,
+             combined=None):
     if config.uses_dft:
-        return acquire_ideal(config.hybrid, scene, factors)
-    return acquire(config.hybrid, scene, config.noise, factors, draws)
+        return acquire_ideal(config.hybrid, scene, factors, clean)
+    return acquire(config.hybrid, scene, config.noise, factors, clean, combined)
 
 
 def _summary_line(config: ExperimentConfig, report) -> str:
@@ -92,20 +111,19 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
 
 
 def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None,
-                   draws=None):
+                   clean=None, combined=None):
     """Full pipeline: acquire -> reconstruct -> score. Writes no file.
 
-    Both stages share ``factors``, compose_chain(config.hybrid)'s pair. ``run`` leaves it
-    out: composed here, once the scene fits the set, it is let go before scoring. ``sweep``
-    holds one through a run of rows, one ``prepared``, the scene's ssim_reference over the
-    roi, through all of them, and one ``draws``, a unit_draws table of the row's seed.
+    Both stages share ``factors``, compose_chain(config.hybrid)'s pair, and the acquisition
+    adds the noise to ``clean``, its noise-free terms. ``run`` leaves them out: made here by
+    ``_fit``, they are let go once used. ``sweep`` fits each set once and holds them
+    through its run of rows, one ``prepared``, the scene's ssim_reference over the roi,
+    through all of them, and ``combined``, the combined_noise of the row's noise and shape.
     """
-    scene.assert_in_range()  # a scene's faults fail first: its range, then a region too small
-    require_ssim_region(scene, config.metrics.get("roi"))
     if factors is None:
-        require_orders(config.hybrid, scene)  # then its shape, before the set's matrices are built
-        factors = compose_chain(config.hybrid)
-    buckets = _acquire(config, scene, factors, draws)
+        factors, clean = _fit(config, scene)
+    buckets = _acquire(config, scene, factors, clean, combined)
+    del clean  # a run's own noise-free terms go before the recovery
     try:
         result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
         del factors
@@ -117,7 +135,7 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, pr
 
 
 def cmd_run(args) -> int:
-    config, scene, paths = _load_stage(args, args.sigma, args.seed)
+    config, scene, paths = _load_stage(args)
     _, buckets, result, report = run_experiment(config, scene)
     fileio.write_buckets(paths.buckets, buckets)
     _write_reconstruction(result.image, paths)
@@ -136,7 +154,7 @@ def cmd_gen_object(args) -> int:
 
 
 def cmd_acquire(args) -> int:
-    config, scene, paths = _load_stage(args, args.sigma, args.seed)
+    config, scene, paths = _load_stage(args)
     buckets = _acquire(config, scene)
     fileio.write_buckets(paths.buckets, buckets)
     if not args.quiet:
@@ -176,7 +194,7 @@ def cmd_metrics(args) -> int:
 def _axis(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(path, "expected a list")
-    return value or [None]  # an empty axis is not varied
+    return value
 
 
 def cmd_sweep(args) -> int:
@@ -186,27 +204,29 @@ def cmd_sweep(args) -> int:
         "vary": lambda vary, path: fields(vary, path, {}, dict.fromkeys(VARY_AXES, _axis)),
         "table": as_file_name,
     })
-    axes = [sweep.get("vary", {}).get(key, [None]) for key in VARY_AXES]
+    # A row's overrides, one per axis: a varied axis sets its field to each of its values,
+    # null too, for the row's config check to judge; an empty or absent axis sets none.
+    axes = [[{field: value} for value in sweep.get("vary", {}).get(axis, [])] or [{}]
+            for axis, field in VARY_AXES.items()]
     table_path = _out_dir(args) / sweep.get("table", "sweep.csv")
     # The flags set the base, so that a varied axis wins over them.
-    base = with_overrides(sweep["base"], sigma=args.sigma, seed=args.seed)
+    base = with_overrides(sweep["base"], **_noise_flags(args))
     try:  # no axis varies the object: one build, whose error each row that parses records
         scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
     # A set is composed only once it fits the scene, so the memo of builds, which lives as
     # long as this call, holds at most one matrix per kind at each of the scene's two orders.
-    rows, build = [], functools.cache(build_transform)
-    factors = composed = prepared = draws = None
+    # Rows share the base's sections, checked once each through ``checked``.
+    rows, build, checked = [], functools.cache(build_transform), {}
+    factors = clean = composed = prepared = noise_key = None
+    noises = {}  # sigma -> combined_noise, for the seed and kept rows of noise_key
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
-        raw = dict(base)
-        if hybrid is not None:
-            raw["hybrid"] = hybrid
-        raw = with_overrides(raw, sigma=sigma, seed=seed)
+        raw = with_overrides({**base, **hybrid}, **sigma, **seed)
         row = dict.fromkeys(SWEEP_FIELDS, "")
         row["index"] = index
         try:
-            config = parse_config(raw)
+            config = parse_config(raw, checked)
             row.update(
                 set=config.hybrid.label,
                 sampling_rate=f"{config.hybrid.sampling_rate:.6g}",
@@ -215,21 +235,20 @@ def cmd_sweep(args) -> int:
             )
             if isinstance(scene, Exception):
                 raise scene
-            if config.hybrid != composed:  # rows run set by set: one pair per run of rows
-                if prepared is None:  # until a row scores, a scene's faults fail first
-                    scene.assert_in_range()
-                    require_ssim_region(scene, config.metrics.get("roi"))
-                require_orders(config.hybrid, scene)  # then its shape, before the set's builds
-                factors = None  # let the last set's pair go before composing the next
-                factors, composed = compose_chain(config.hybrid, build), config.hybrid
-            # One table of draws serves the rows of a seed, until one takes more than it holds.
-            per = scene.range_tag.projections
-            count = per * config.hybrid.left_kept * config.hybrid.right_kept
-            if config.noise.sigma > 0.0 and (
-                    draws is None or draws[0] != config.noise.seed or draws[1].shape[1] < count):
-                draws = None  # let the last table go before drawing the next
-                draws = unit_draws(config.noise.seed, count)
-            _, _, _, report = run_experiment(config, scene, factors, prepared, draws)
+            if config.hybrid != composed:  # rows run set by set: one fit per run of rows
+                factors = clean = None  # let the last set's terms go before fitting the next
+                factors, clean = _fit(config, scene, build)
+                composed = config.hybrid
+            combined, noise = None, config.noise
+            if noise.sigma > 0.0:  # one noise per sigma, until the seed or the kept rows change
+                key = (noise.seed, config.hybrid.left_kept, config.hybrid.right_kept)
+                if key != noise_key:
+                    noises, noise_key = {}, key  # the last key's go before the next is made
+                if noise.sigma not in noises:
+                    noises[noise.sigma] = combined_noise(noise, scene.range_tag.projections,
+                                                         *key[1:])
+                combined = noises[noise.sigma]
+            _, _, _, report = run_experiment(config, scene, factors, prepared, clean, combined)
             if prepared is None:  # rows share the scene and roi, which this row's score checked
                 prepared = ssim_reference(scene, config.metrics.get("roi"))
             row.update(

@@ -179,10 +179,26 @@ SECTIONS = {
 }
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config dict and resolve it into an ExperimentConfig."""
-    required = {"object": parse_object, "hybrid": HybridSpec.from_dict}
-    config = ExperimentConfig(**fields(data, "", required, SECTIONS), raw=data)
+def _once(check, checked: dict):
+    """``check``, skipped for the value it last passed at the same path, as ``checked`` holds it."""
+    def once(value, path: str):
+        held = checked.get(path)
+        if held is None or held[0] is not value:
+            checked[path] = (value, check(value, path))
+        return checked[path][1]
+    return once
+
+
+def parse_config(data: dict, checked: dict | None = None) -> ExperimentConfig:
+    """Validate a config dict and resolve it into an ExperimentConfig.
+
+    ``checked``, a dict a caller keeps across calls, holds each section's last value and
+    result: a section that is the same object again, as a sweep's rows share, is not rechecked.
+    """
+    tables = {"object": parse_object, "hybrid": HybridSpec.from_dict}, SECTIONS
+    if checked is not None:
+        tables = ({key: _once(check, checked) for key, check in t.items()} for t in tables)
+    config = ExperimentConfig(**fields(data, "", *tables), raw=data)
     if config.uses_dft and config.noise.sigma != 0.0:
         raise ConfigError(
             "noise.sigma", "dft factors require sigma = 0 (ideal acquisition only)"
@@ -190,14 +206,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
-def with_overrides(data: dict, sigma: float | None = None, seed: int | None = None) -> dict:
-    """Apply CLI --sigma/--seed overrides to a raw config dict."""
-    overrides = {
-        key: value for key, value in (("sigma", sigma), ("seed", seed))
-        if value is not None
-    }
+def with_overrides(data: dict, **noise) -> dict:
+    """A raw config dict whose noise section takes each field of ``noise`` (sigma, seed)."""
     # A malformed config or noise section is left for parse_config to report.
-    noise = data.get("noise", {}) if isinstance(data, dict) else None
-    if not overrides or not isinstance(noise, dict):
+    section = data.get("noise", {}) if isinstance(data, dict) else None
+    if not noise or not isinstance(section, dict):
         return data
-    return {**data, "noise": {**noise, **overrides}}
+    return {**data, "noise": {**section, **noise}}

@@ -8,9 +8,9 @@ same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
-stream. The module keeps no state: a caller that acquires many sets with
-one seed may take the seed's draws once, at unit sigma, with ``unit_draws``,
-and pass that table to each ``acquire``.
+stream. The module keeps no state: a caller that acquires many rows may pass
+``acquire`` a set's ``noise_free`` terms and the ``combined_noise`` of a
+(noise, kept rows) pair, each made once.
 
 ``acquire`` computes every bucket of a set at once, in closed form.
 Pattern (m, n) is the outer product of rows L_m and R_n, at scale a_m b_n
@@ -145,61 +145,46 @@ class BucketSignals:
         object.__setattr__(self, "values", values)
 
 
-def _unit_blocks(seed: int, start: int, count: int):
-    """Draws ``start``, ``start + 1``, ... of ``seed`` at unit sigma, as (2, ``count``) arrays.
+def _noise_blocks(sigma: float, seed: int, start: int, count: int):
+    """Noise draws ``start``, ``start + 1``, ... of ``seed``, in arrays of ``count``.
 
     Draw k is (root * sigma) * cosine (Box-Muller), with root = sqrt(-2 log1p(-u1))
-    and cosine = cos(2 pi u2), rows 0 and 1 of a block, and u1, u2 = (w >> 11) *
-    2**-53 for the words w = 2k, 2k + 1 of the Philox(key=seed) stream. Philox
-    is counter-based: block j of that stream (words 4j .. 4j + 3) is what
-    Philox(key=seed, counter=[j, 0, 0, 0]) yields first, so a local generator
-    can start at any draw. Every ufunc below works element by element on
-    contiguous arrays, so a draw does not depend on the block's length or on
-    the block that yields it.
+    and cosine = cos(2 pi u2), and u1, u2 = (w >> 11) * 2**-53 for the words
+    w = 2k, 2k + 1 of the Philox(key=seed) stream. Philox is counter-based:
+    block j of that stream (words 4j .. 4j + 3) is what Philox(key=seed,
+    counter=[j, 0, 0, 0]) yields first, so a local generator can start at any
+    draw. Every ufunc below works element by element on contiguous arrays, so
+    a draw does not depend on the block's length or on the block that yields it.
     """
     bit_generator = np.random.Philox(key=seed, counter=[start // 2, 0, 0, 0])
     bit_generator.random_raw(2 * (start % 2))  # the word pair before an odd start
     while True:
         words = bit_generator.random_raw(2 * count)
         words >>= 11
-        block = np.multiply(words.reshape(count, 2).T, 2.0**-53, out=np.empty((2, count)))
-        u1, u2 = block
-        np.sqrt(np.multiply(np.log1p(np.negative(u1, out=u1), out=u1), -2.0, out=u1), out=u1)
-        np.cos(np.multiply(u2, 2.0 * math.pi, out=u2), out=u2)
-        yield block
-
-
-def _noise_blocks(sigma: float, seed: int, start: int, count: int):
-    """Noise draws ``start``, ``start + 1``, ... of ``seed``, in arrays of ``count``."""
-    for root, cosine in _unit_blocks(seed, start, count):
+        root, cosine = np.multiply(words.reshape(count, 2).T, 2.0**-53, out=np.empty((2, count)))
+        np.sqrt(np.multiply(np.log1p(np.negative(root, out=root), out=root), -2.0, out=root),
+                out=root)
+        np.cos(np.multiply(cosine, 2.0 * math.pi, out=cosine), out=cosine)
         yield np.multiply(np.multiply(root, sigma, out=root), cosine, out=root)
 
 
-def unit_draws(seed: int, count: int) -> tuple[int, np.ndarray]:
-    """``seed`` and its first ``count`` draws at unit sigma, as a read-only (2, count) array.
+def combined_noise(noise: NoiseModel, projections: int, rows: int, columns: int) -> np.ndarray:
+    """C(E) of ``noise`` for ``rows`` x ``columns`` buckets of ``projections`` each, read-only.
 
-    Its rows are (root, cosine): draw k at sigma is (root[k] * sigma) * cosine[k],
-    bit for bit the draw that ``acquire`` makes without a table. It takes 16 B per draw,
-    filled block by block, so making it holds one block more.
+    Bucket (m, n) signs (``_combine``) its draws at ``measure_bucket``'s indices for
+    measurement m * columns + n. It takes 8 B per bucket, drawn in blocks of whole rows,
+    and depends on no set: each set of these kept rows adds (a b^T) * C to its buckets.
     """
-    seed, table = NoiseModel(seed=seed).seed, np.empty((2, operator.index(count)))
-    blocks = _unit_blocks(seed, 0, _BLOCK_DRAWS)
-    for start in range(0, table.shape[1], _BLOCK_DRAWS):
-        part = table[:, start : start + _BLOCK_DRAWS]
-        part[...] = next(blocks)[:, : part.shape[1]]
-    table.setflags(write=False)
-    return seed, table
-
-
-def _table_blocks(draws, noise: NoiseModel, count: int, size: int):
-    """The first ``count`` draws of ``noise``, in arrays of ``size``, from a unit_draws table."""
-    seed, (root, cosine) = draws
-    if seed != noise.seed:
-        raise ParameterError(f"a noise table of seed {seed} vs noise seed {noise.seed}")
-    if root.size < count:
-        raise ParameterError(f"a noise table of {root.size} draws vs {count} draws to make")
-    sigma = noise.sigma
-    return ((root[k : k + size] * sigma) * cosine[k : k + size] for k in range(0, count, size))
+    combined = np.empty((rows, columns))
+    step = max(1, _BLOCK_DRAWS // (projections * columns))
+    blocks = _noise_blocks(noise.sigma, noise.seed, 0, projections * columns * step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(0, rows, step):
+            part = combined[m : m + step]
+            draws = next(blocks)[: projections * part.size].reshape(*part.shape, projections)
+            part[...] = _combine(np.moveaxis(draws, -1, 0))
+    combined.setflags(write=False)
+    return combined
 
 
 def _require_finite(values, sigma: float):
@@ -338,50 +323,52 @@ def _factors_for(spec: HybridSpec, scene: SceneImage, factors=None):
     return compose_chain(spec) if factors is None else factors
 
 
-def acquire(
-    spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None, draws=None
-) -> BucketSignals:
-    """Simulate the physical acquisition of one hybridization set.
-
-    Each kept (m, n) pattern v, over its max-abs scale max|L_m| * max|R_n|,
-    is shown as its halves (1 +- v)/2 against the scene, or the scene's
-    halves when signed. The bucket, ``scale`` times the projections' signed
-    sum, is L @ X @ R^H plus ``scale`` times the signed sum of their draws.
-    The draws come in blocks of whole left rows, at ``measure_bucket``'s
-    indices for measurement m * rows_R + n: from ``draws``, unit_draws(noise.seed, n)
-    for an n at least the draws this set takes, else from one generator per call.
-    When it draws, a table of another seed, or too short, raises ParameterError,
-    and so does a sigma whose noise overflows a bucket.
-    """
-    left, right = _factors_for(spec, scene, factors)
+def noise_free(left, right, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of ``acquire`` that no noise changes: L @ X @ R^T and a and b, the max-abs
+    of each row of ``left`` and of ``right``, once the factors are real with no all-zero
+    row. That they fit the scene X is the caller's check (``_factors_for``)."""
     if np.iscomplexobj(left.entries) or np.iscomplexobj(right.entries):
         raise UnsupportedPatternError("complex transform factors cannot be physically projected")
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
     if peaks_l.min() * peaks_r.min() == 0.0:  # the least scale; rounding is monotone
         raise DegeneratePatternError("all-zero pattern cannot be normalized")
-    buckets = forward(left, right, scene.values)
+    return forward(left, right, x), peaks_l, peaks_r
+
+
+def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None, clean=None,
+            combined=None) -> BucketSignals:
+    """Simulate the physical acquisition of one hybridization set.
+
+    Each kept (m, n) pattern v, over its max-abs scale a_m b_n = max|L_m| * max|R_n|,
+    is shown as its halves (1 +- v)/2 against the scene, or the scene's
+    halves when signed. The bucket, the scale times the projections' signed
+    sum, is (L @ X @ R^H)[m, n] plus a_m b_n C[m, n], C the combined_noise of
+    ``noise`` for these kept rows. ``clean``, noise_free's terms of ``factors``
+    once they fit ``scene``, and ``combined``, that C, spare a caller that
+    acquires many rows their remaking, bit for bit: a ``combined`` of another
+    shape raises ShapeError. A sigma whose noise overflows a bucket raises
+    ParameterError.
+    """
+    buckets, peaks_l, peaks_r = clean or noise_free(*_factors_for(spec, scene, factors),
+                                                    scene.values)
     if noise.sigma > 0.0:
-        per = scene.range_tag.projections
-        rows = max(1, _BLOCK_DRAWS // (per * right.kept_rows))
-        size = per * right.kept_rows * rows
-        if draws is None:
-            blocks = _noise_blocks(noise.sigma, noise.seed, 0, size)
-        else:
-            blocks = _table_blocks(draws, noise, per * buckets.size, size)
+        if combined is None:
+            combined = combined_noise(noise, scene.range_tag.projections, *buckets.shape)
+        if combined.shape != buckets.shape:
+            raise ShapeError(f"combined noise of shape {combined.shape} vs buckets {buckets.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(0, left.kept_rows, rows):
-                part = buckets[m : m + rows]
-                draws = next(blocks)[: per * part.size].reshape(*part.shape, per)
-                scales = np.outer(peaks_l[m : m + rows], peaks_r)
-                part += scales * _combine(np.moveaxis(draws, -1, 0))
+            scaled = np.outer(peaks_l, peaks_r)
+            buckets = np.add(buckets, np.multiply(scaled, combined, out=scaled), out=scaled)
         _require_finite(buckets, noise.sigma)
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 
-def acquire_ideal(spec: HybridSpec, scene: SceneImage, factors=None) -> BucketSignals:
-    """Noise-free dense acquisition: Y = L @ X @ R^H.
+def acquire_ideal(spec: HybridSpec, scene: SceneImage, factors=None, clean=None) -> BucketSignals:
+    """Noise-free dense acquisition: Y = L @ X @ R^H, or ``clean``, that product of ``factors``
+    once they fit ``scene``.
 
     This is the math-path counterpart of :func:`acquire`; it also accepts
     complex (DFT) factors, which the physical simulator rejects.
     """
-    return BucketSignals(forward(*_factors_for(spec, scene, factors), scene.values), 0.0, 0, spec)
+    clean = forward(*_factors_for(spec, scene, factors), scene.values) if clean is None else clean
+    return BucketSignals(clean, 0.0, 0, spec)

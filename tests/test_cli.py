@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridgi import ConfigError, NoiseModel, RangeTag, acquire, windmill
-from hybridgi import cli, fileio, measurement
+from hybridgi import ConfigError, NoiseModel, RangeTag, SceneImage, acquire, windmill
+from hybridgi import cli, fileio, measurement, metrics, simulator
 from hybridgi.cli import main, run_experiment
 from hybridgi.config import parse_config, resolve_kept_rows, with_overrides
 
@@ -270,8 +270,27 @@ class TestComposeOnce:
         composes = record_calls(monkeypatch, measurement.compose_chain)
         builds = record_calls(monkeypatch, measurement.build_transform, [measurement])
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
-        assert composes == [(spec,)]
+        assert composes == [(spec, None)]  # with the default builder
         assert len(builds) == len(spec.left_chain) + len(spec.right_chain)
+
+    @pytest.mark.parametrize("name", [*SHIPPED_RUN_CONFIGS, "dft", "sweep_six_sets.json"])
+    def test_each_check_runs_once_per_experiment(self, tmp_path, monkeypatch, name):
+        # The scene's range, its SSIM region and the set's orders: once in a run, whose
+        # acquisition takes the checked terms, and once per set in a sweep. (ssim checks
+        # the region of the arrays it is given on its own.)
+        ranges, assert_in_range = [], SceneImage.assert_in_range
+        monkeypatch.setattr(SceneImage, "assert_in_range",
+                            lambda scene: ranges.append(scene) or assert_in_range(scene))
+        orders = record_calls(monkeypatch, simulator.require_orders)
+        regions = record_calls(monkeypatch, metrics.require_ssim_region, [cli])
+        if name == "dft":
+            path = write_config(tmp_path, dict(BASE_CONFIG, hybrid=TestSweep.DFT_SET, noise={}))
+        else:
+            path = CONFIGS / name
+        command = "sweep" if name.startswith("sweep") else "run"
+        assert main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        sets = 12 if command == "sweep" else 1
+        assert (len(ranges), len(regions), len(orders)) == (sets, sets, sets)
 
     def test_sweep_of_six_sets_builds_each_kind_and_order_once(self, tmp_path, monkeypatch):
         # 12 sets of three kinds at the scene's orders 32 and 64, over 2 sigmas in a
@@ -434,77 +453,83 @@ class TestPreparedReference:
 
 
 class TestNoiseTable:
-    """A sweep holds one unit_draws table at a time, made when a noisy row's seed differs
-    from the table's or the row takes more draws than it holds."""
+    """A sweep holds one combined_noise per sigma for the seed and kept rows of its current
+    row, made at the first noisy row that needs it, and lets them all go when either changes."""
 
     FULL = {"left": [{"kind": "dct", "order": 32}], "right": [{"kind": "haar", "order": 64}]}
+    SUB = (29, 58)  # BASE_CONFIG's kept rows
 
     @staticmethod
-    def record_tables(monkeypatch) -> tuple[list, list]:
-        """(seed, draws, weak reference) of each table cli makes, and how many of the
-        earlier ones were alive at each call."""
-        tables, alive_at_call, unit_draws = [], [], cli.unit_draws
+    def record_noise(monkeypatch) -> tuple[list, list]:
+        """(seed, sigma, projections, kept rows, weak reference) of each combined noise cli
+        makes, and how many of the earlier ones were alive at each call."""
+        made, alive_at_call, combined_noise = [], [], cli.combined_noise
 
-        def recorded(*args):
-            alive_at_call.append(sum(table() is not None for *_, table in tables))
-            seed, table = unit_draws(*args)
-            tables.append((seed, table.shape[1], weakref.ref(table)))
-            return seed, table
+        def recorded(noise, projections, rows, columns):
+            alive_at_call.append(sum(ref() is not None for *_, ref in made))
+            combined = combined_noise(noise, projections, rows, columns)
+            assert combined.shape == (rows, columns) and combined.nbytes == 8 * rows * columns
+            made.append((noise.seed, noise.sigma, projections, (rows, columns),
+                         weakref.ref(combined)))
+            return combined
 
-        monkeypatch.setattr(cli, "unit_draws", recorded)
-        return tables, alive_at_call
-
-    @staticmethod
-    def draws(hybrid) -> int:
-        spec = parse_config(dict(BASE_CONFIG, hybrid=hybrid)).hybrid
-        return 2 * spec.left_kept * spec.right_kept  # a reflectance scene: two per bucket
+        monkeypatch.setattr(cli, "combined_noise", recorded)
+        return made, alive_at_call
 
     def test_rows_of_varied_seeds_draw_as_runs_alone(self, tmp_path, monkeypatch):
         sets, sigmas, seeds = [BASE_CONFIG["hybrid"], self.FULL], [0.0, 0.05], [3, 4]
         path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
             "hybrid_sets": sets, "sigmas": sigmas, "seeds": seeds}}, "sweep.json")
-        tables, alive_at_call = self.record_tables(monkeypatch)
+        made, alive_at_call = self.record_noise(monkeypatch)
         reports = []
 
         def recorded_run(*args):
-            reports.append((args[0], run_experiment(*args)[3]))
-            return (None, None, None, reports[-1][1])
+            # The config, which of the noises made so far the row took, and its report.
+            taken = [i for i, entry in enumerate(made)
+                     if args[5] is not None and entry[4]() is args[5]]
+            reports.append((args[0], taken, run_experiment(*args)[3]))
+            return (None, None, None, reports[-1][2])
 
         monkeypatch.setattr(cli, "run_experiment", recorded_run)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
-        # Rows run set by set and the seed varies fastest: a table per noisy row here.
-        sub, full = (self.draws(hybrid) for hybrid in sets)
-        assert [(seed, draws) for seed, draws, _ in tables] == [(3, sub), (4, sub),
-                                                                (3, full), (4, full)]
+        # Rows run set by set and the seed varies fastest: a noise per noisy row here.
+        assert [entry[:4] for entry in made] == [(3, 0.05, 2, self.SUB), (4, 0.05, 2, self.SUB),
+                                                 (3, 0.05, 2, (32, 64)), (4, 0.05, 2, (32, 64))]
         assert alive_at_call == [0, 0, 0, 0]
-        assert all(table() is None for *_, table in tables)  # freed when the command returns
-        runs = [(config.hybrid, config.noise.sigma, config.noise.seed) for config, _ in reports]
+        assert all(ref() is None for *_, ref in made)  # freed when the command returns
+        runs = [(config.hybrid, config.noise.sigma, config.noise.seed) for config, *_ in reports]
         assert runs == [(parse_config(dict(BASE_CONFIG, hybrid=h)).hybrid, sigma, seed)
                         for h in sets for sigma in sigmas for seed in seeds]
+        # A noiseless row takes none; a noisy one the one made for it.
+        assert [taken for _, taken, _ in reports] == [[], [], [0], [1], [], [], [2], [3]]
         with open(tmp_path / "sweep.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         scene = parse_config(BASE_CONFIG).object.build()
-        for row, (config, report) in zip(rows, reports, strict=True):
+        for row, (config, _, report) in zip(rows, reports, strict=True):
             alone = run_experiment(config, scene)[3]
             assert (report.psnr_db, report.ssim, report.mse) == (alone.psnr_db, alone.ssim,
                                                                  alone.mse)
             assert (row["psnr_db"], row["ssim"], row["mse"]) == (
                 f"{alone.psnr_db:.6g}", f"{alone.ssim:.6g}", f"{alone.mse:.6g}")
 
-    def test_one_seed_draws_once_unless_a_row_takes_more(self, tmp_path, monkeypatch):
-        tables, alive_at_call = self.record_tables(monkeypatch)
+    def test_one_seed_draws_once_per_sigma_and_kept_rows(self, tmp_path, monkeypatch):
+        made, alive_at_call = self.record_noise(monkeypatch)
         config_path = CONFIGS / "sweep_six_sets.json"
         assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
-        assert [(seed, draws) for seed, draws, _ in tables] == [(0, 2 * 32 * 64)]
-        # A sub-Nyquist set first, then a full one: the full set's rows need a longer table.
-        sets = [BASE_CONFIG["hybrid"], self.FULL, BASE_CONFIG["hybrid"]]
-        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
-            "hybrid_sets": sets, "sigmas": [0.05, 0.01]}}, "sweep.json")
-        tables.clear(), alive_at_call.clear()
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
-        assert [(seed, draws) for seed, draws, _ in tables] == [(42, self.draws(sets[0])),
-                                                                (42, self.draws(sets[1]))]
+        # Six full sets, then six at 29 x 58 kept rows: the full noise goes before the next.
+        assert [entry[:4] for entry in made] == [(0, 0.01, 2, (32, 64)), (0, 0.01, 2, self.SUB)]
         assert alive_at_call == [0, 0]
+        # Two sets of one shape share each sigma's noise; a set of another shape in between
+        # lets them go, so the third set makes them again.
+        sets = [BASE_CONFIG["hybrid"], BASE_CONFIG["hybrid"], self.FULL, BASE_CONFIG["hybrid"]]
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": sets, "sigmas": [0.05, 0.0, 0.01]}}, "sweep.json")
+        made.clear(), alive_at_call.clear()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert [entry[:4] for entry in made] == [
+            (42, sigma, 2, shape) for shape in (self.SUB, (32, 64), self.SUB)
+            for sigma in (0.05, 0.01)]
+        assert alive_at_call == [0, 1] * 3
 
 
 class TestSharedParser:
@@ -1233,6 +1258,44 @@ class TestSweep:
         # At 1e307 the buckets stay finite, and the scores overflow.
         assert rows[1]["message"] == ("sigma 1e+307 is too large: the mean squared "
                                       "difference of the compared images overflows")
+
+    DFT_SET = {"left": [{"kind": "dft", "order": 32}], "right": [{"kind": "dct", "order": 64}]}
+    WALSH_SET = {"left": [{"kind": "walsh", "order": 32}], "right": [{"kind": "dct", "order": 64}]}
+
+    @pytest.mark.parametrize("vary", [
+        {"sigmas": [None, 0.01]},
+        {"hybrid_sets": [None]},
+        {"seeds": [None, 3]},
+        {"hybrid_sets": [BASE_CONFIG["hybrid"], WALSH_SET, BASE_CONFIG["hybrid"]]},
+        {"hybrid_sets": [DFT_SET], "sigmas": [0.0, 0.01]},
+        {"seeds": [True, 3], "sigmas": [0.0, 0.01]},
+        {"sigmas": [-0.01, 0.01]},
+    ], ids=["null-sigma", "null-set", "null-seed", "bad-kind", "dft-noisy", "bool-seed",
+            "negative-sigma"])
+    def test_a_row_records_what_parse_config_gives_its_config(self, tmp_path, vary):
+        # A varied value, JSON null too, is the row's own: a row whose config parse_config
+        # rejects records that error, and every other row runs.
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": vary}, "sweep.json")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = [(row["status"], row["message"]) for row in csv.DictReader(handle)]
+        expected = []
+        for hybrid, sigma, seed in itertools.product(
+                *(vary.get(axis, ["base"]) for axis in ("hybrid_sets", "sigmas", "seeds"))):
+            raw = json.loads(json.dumps(BASE_CONFIG))
+            for section, key, value in (
+                    (raw, "hybrid", hybrid), (raw["noise"], "sigma", sigma),
+                    (raw["noise"], "seed", seed)):
+                if value != "base":
+                    section[key] = value
+            try:
+                parse_config(raw)
+            except ConfigError as exc:
+                expected.append(("error", str(exc)))
+            else:
+                expected.append(("ok", ""))
+        assert rows == expected
+        assert "error" in (status for status, _ in rows)
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         sweep = {

@@ -33,11 +33,13 @@ from hybridgi import (
     SceneImage,
     acquire,
     acquire_ideal,
+    combined_noise,
     compose_chain,
     count_significant,
     fileio,
     kron,
     measure_bucket,
+    noise_free,
     normalize_pattern,
     pattern,
     quality_report,
@@ -45,7 +47,6 @@ from hybridgi import (
     reconstruct_2d,
     reconstruct_chain,
     ssim,
-    unit_draws,
     vec_rows,
 )
 from hybridgi.measurement import forward, resolve_kept_rows
@@ -509,55 +510,56 @@ def table_case(height: int, width: int, range_tag: RangeTag, kept: str):
 @pytest.mark.parametrize("kept", ["full", "sub-nyquist", "odd"])
 @pytest.mark.parametrize("range_tag", list(RangeTag))
 @pytest.mark.parametrize("height, width", [(16, 32), (64, 64)])
-def test_acquire_from_a_table_equals_acquire_without(height, width, range_tag, kept, sigma,
-                                                     seed):
-    # A table of the scene's every draw, as a sweep holds, and one of exactly the set's.
+def test_acquire_with_combined_noise_equals_acquire_without(height, width, range_tag, kept,
+                                                            sigma, seed):
+    # The noise a sweep holds per (seed, sigma, kept rows), with and without the set's
+    # noise-free terms, against a call that makes both, and all against the closed form.
     spec, scene = table_case(height, width, range_tag, kept)
     noise = NoiseModel(sigma, seed)
     want = acquire(spec, scene, noise).values.tobytes()
-    per = range_tag.projections
-    for count in (per * scene.values.size, per * spec.left_kept * spec.right_kept):
-        assert acquire(spec, scene, noise, None, unit_draws(seed, count)).values.tobytes() == want
-        assert acquire(spec, scene, noise, compose_chain(spec),
-                       unit_draws(seed, count)).values.tobytes() == want
-
-
-@pytest.mark.parametrize("seed", TABLE_SEEDS)
-def test_unit_draws_scale_to_the_noise_draws(seed):
-    got_seed, table = unit_draws(seed, 4099)
-    root, cosine = table
-    assert got_seed == seed and table.shape == (2, 4099) and table.nbytes == 16 * 4099
-    assert not table.flags.writeable
-    assert ((root * 0.05) * cosine).tobytes() == _noise_block(0.05, seed, 0, 4099).tobytes()
-    assert ((root * 0.05) * cosine).tobytes() == oracle_stream(0.05, seed, 4099).tobytes()
+    assert want == oracle_acquire(spec, scene, sigma, seed).tobytes()
+    combined = combined_noise(noise, range_tag.projections, spec.left_kept, spec.right_kept)
+    clean = noise_free(*compose_chain(spec), scene.values)
+    assert acquire(spec, scene, noise, None, None, combined).values.tobytes() == want
+    assert acquire(spec, scene, noise, None, clean, combined).values.tobytes() == want
+    assert acquire(spec, scene, noise, None, clean).values.tobytes() == want
 
 
 @pytest.mark.parametrize("range_tag", list(RangeTag))
-def test_an_overflowing_sigma_fails_alike_with_and_without_a_table(range_tag):
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+def test_combined_noise_signs_each_buckets_draws(seed, range_tag):
+    # Bucket (m, n) of 37 x 19 takes draws per * (m * 19 + n) + j, j < per, over blocks
+    # that end inside a row.
+    per = range_tag.projections
+    combined = combined_noise(NoiseModel(0.05, seed), per, 37, 19)
+    assert combined.shape == (37, 19) and combined.nbytes == 8 * 37 * 19
+    assert combined.dtype == np.float64 and not combined.flags.writeable
+    draws = oracle_stream(0.05, seed, per * 37 * 19).reshape(37, 19, per)
+    assert combined.tobytes() == combine([draws[..., j] for j in range(per)]).tobytes()
+
+
+@pytest.mark.parametrize("range_tag", list(RangeTag))
+def test_an_overflowing_sigma_fails_alike_with_and_without_combined_noise(range_tag):
     spec, scene = table_case(16, 32, range_tag, "odd")
     noise = NoiseModel(1e308, 2)
     with pytest.raises(ParameterError) as without:
         acquire(spec, scene, noise)
-    with pytest.raises(ParameterError) as drawn:
-        acquire(spec, scene, noise, None, unit_draws(2, range_tag.projections * 16 * 32))
-    assert type(drawn.value) is type(without.value)
+    combined = combined_noise(noise, range_tag.projections, spec.left_kept, spec.right_kept)
+    with pytest.raises(ParameterError) as given:
+        acquire(spec, scene, noise, None, None, combined)
+    assert type(given.value) is type(without.value)
     message = "sigma 1e+308 is too large: the noisy projections overflow"
-    assert str(drawn.value) == str(without.value) == message
+    assert str(given.value) == str(without.value) == message
 
 
-def test_a_table_of_another_seed_is_rejected():
-    spec, scene = table_case(16, 32, RangeTag.REFLECTANCE, "full")
-    with pytest.raises(ParameterError, match="^a noise table of seed 4 vs noise seed 3$"):
-        acquire(spec, scene, NoiseModel(0.05, 3), None, unit_draws(4, 2 * 16 * 32))
-
-
+@pytest.mark.parametrize("shape", [(12, 17), (13, 16), (17, 13), (13 * 17,), (1, 13, 17)],
+                         ids=["rows", "columns", "transposed", "flat", "stacked"])
 @pytest.mark.parametrize("range_tag", list(RangeTag))
-def test_a_table_too_short_is_rejected(range_tag):
-    spec, scene = table_case(16, 32, range_tag, "odd")
-    count = range_tag.projections * spec.left_kept * spec.right_kept
-    with pytest.raises(ParameterError,
-                       match=f"^a noise table of {count - 1} draws vs {count} draws to make$"):
-        acquire(spec, scene, NoiseModel(0.05, 3), None, unit_draws(3, count - 1))
+def test_combined_noise_of_another_shape_is_rejected(range_tag, shape):
+    spec, scene = table_case(16, 32, range_tag, "odd")  # 13 x 17 kept rows
+    message = rf"^combined noise of shape {re.escape(str(shape))} vs buckets \(13, 17\)$"
+    with pytest.raises(ShapeError, match=message):
+        acquire(spec, scene, NoiseModel(0.05, 3), None, None, np.zeros(shape))
 
 
 @kind_pairs
