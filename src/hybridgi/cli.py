@@ -111,7 +111,7 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
 
 
 def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None,
-                   clean=None, combined=None):
+                   clean=None, combined=None, residual=True):
     """Full pipeline: acquire -> reconstruct -> score. Writes no file.
 
     Both stages share ``factors``, compose_chain(config.hybrid)'s pair, and the acquisition
@@ -119,13 +119,14 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, pr
     ``_fit``, they are let go once used. ``sweep`` fits each set once and holds them
     through its run of rows, one ``prepared``, the scene's ssim_reference over the roi,
     through all of them, and ``combined``, the combined_noise of the row's noise and shape.
+    It passes residual=False, as its table prints no residual: result.residual_norm is None.
     """
     if factors is None:
         factors, clean = _fit(config, scene)
     buckets = _acquire(config, scene, factors, clean, combined)
     del clean  # a run's own noise-free terms go before the recovery
     try:
-        result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors)
+        result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors, residual)
         del factors
         report = quality_report(scene, result.image, buckets=buckets, prepared=prepared,
                                 **config.metrics)
@@ -248,7 +249,8 @@ def cmd_sweep(args) -> int:
                     noises[noise.sigma] = combined_noise(noise, scene.range_tag.projections,
                                                          *key[1:])
                 combined = noises[noise.sigma]
-            _, _, _, report = run_experiment(config, scene, factors, prepared, clean, combined)
+            _, _, _, report = run_experiment(config, scene, factors, prepared, clean, combined,
+                                             residual=False)
             if prepared is None:  # rows share the scene and roi, which this row's score checked
                 prepared = ssim_reference(scene, config.metrics.get("roi"))
             row.update(

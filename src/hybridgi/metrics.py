@@ -98,19 +98,23 @@ def _window_sums(x: np.ndarray) -> np.ndarray:
 
     Separable shifted adds (columns, then rows) keep every sum to 8 + 8
     terms, so no rounding error accumulates across the image as it would
-    in a summed-area table.
+    in a summed-area table. Each add is one contiguous pass over the planes
+    flattened: a sum that wraps past a row's or a plane's end lands only in
+    the last 7 columns or rows, which the returned view leaves out.
     """
-    w = SSIM_WINDOW
-    cols = x.shape[-1] - w + 1
-    across = x[..., :cols].copy()
-    for k in range(1, w):
-        across += x[..., k : k + cols]
-    rows = x.shape[-2] - w + 1
-    del x  # a stack made for this call is freed before the row pass allocates
-    sums = across[..., :rows, :].copy()
-    for k in range(1, w):
-        sums += across[..., k : k + rows, :]
-    return sums
+    w, shape, flat = SSIM_WINDOW, x.shape, x.ravel()
+    del x
+    size = flat.size - w + 1
+    across = flat[:size] + flat[1 : 1 + size]
+    for k in range(2, w):
+        across += flat[k : k + size]
+    del flat  # a stack made for this call is freed before the row pass allocates
+    sums, width = np.empty(shape), shape[-1]
+    part = sums.reshape(-1)[: size - (w - 1) * width]
+    np.add(across[: part.size], across[width : width + part.size], out=part)
+    for k in range(2, w):
+        part += across[k * width : k * width + part.size]
+    return sums[..., : shape[-2] - w + 1, : width - w + 1]
 
 
 def _reference_strips(a: np.ndarray):
@@ -121,7 +125,7 @@ def _reference_strips(a: np.ndarray):
     for top in range(0, rows, step):
         stop = min(top + step, rows)
         strip = a[top : stop + SSIM_WINDOW - 1]
-        sum_a = _window_sums(strip)
+        sum_a = _window_sums(strip).copy()  # held by ssim_reference: not its buffer
         mu_a = sum_a / n
         var_a = (_window_sums(strip * strip) - sum_a * mu_a) / (n - 1)
         yield top, stop, sum_a, mu_a, var_a

@@ -23,14 +23,15 @@ class ReconstructionResult:
     """Recovered image plus a forward-model residual diagnostic.
 
     residual_norm is ||Y - L @ X' @ R^H||_F over the kept rows, X' the
-    returned real image. For real factors L X' R^H = (L L^T) Y (R R^T), so
-    it is about the orthonormality defect times ||Y|| at any sampling or
-    noise; for complex ones it adds what the dropped imaginary part carried.
+    returned real image, or None if not asked for. For real factors
+    L X' R^H = (L L^T) Y (R R^T), so it is about the orthonormality defect
+    times ||Y|| at any sampling or noise; for complex ones it adds what the
+    dropped imaginary part carried.
     """
 
     image: SceneImage
     spec: HybridSpec | None
-    residual_norm: float
+    residual_norm: float | None
 
 
 def reconstruct_1d(a, y) -> np.ndarray:
@@ -46,7 +47,7 @@ def reconstruct_1d(a, y) -> np.ndarray:
 
 
 def reconstruct_2d(
-    left, right, y, range_tag: RangeTag = RangeTag.SIGNED
+    left, right, y, range_tag: RangeTag = RangeTag.SIGNED, residual: bool = True
 ) -> ReconstructionResult:
     """Recovery X' = L^H @ Y @ R from full or truncated factors.
 
@@ -55,7 +56,8 @@ def reconstruct_2d(
     output keeps the full image dimensions and, for noiseless buckets,
     equals the projection L_t^H @ L_t @ X @ R_t^H @ R_t of the true image.
     Complex factors yield a real image (the real part); any complex
-    residue shows up in residual_norm. Finite buckets whose recovery or
+    residue shows up in residual_norm. ``residual=False`` forms no forward
+    image and leaves residual_norm None. Finite buckets whose recovery or
     its forward image leaves the float range raise ValueOverflowError.
     """
     left, right = as_factor(left), as_factor(right)
@@ -69,21 +71,23 @@ def reconstruct_2d(
         raise ParameterError("bucket values must be finite, got a NaN or infinite value")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         image = SceneImage(backward(left, right, values), range_tag)
-        fitted = forward(left, right, image.values)
-    if not (np.isfinite(image.values).all() and np.isfinite(fitted).all()):
+        fitted = forward(left, right, image.values) if residual else None
+    if not (np.isfinite(image.values).all() and (fitted is None or np.isfinite(fitted).all())):
         raise ValueOverflowError("the reconstruction of the buckets overflows")
+    if fitted is None:
+        return ReconstructionResult(image, None, None)
     # The norm squares its entries: scale them below 2 by a power of two, which rounds nothing.
     largest = max(np.abs(values).max(), np.abs(fitted).max())
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
     fitted /= scale
-    residual = np.divide(values, scale, out=np.empty(values.shape, np.result_type(values, fitted)))
-    residual -= fitted  # values / scale - fitted, in one buffer that may be complex
-    return ReconstructionResult(image, None, scale * float(np.linalg.norm(residual)))
+    misfit = np.divide(values, scale, out=np.empty(values.shape, np.result_type(values, fitted)))
+    misfit -= fitted  # values / scale - fitted, in one buffer that may be complex
+    return ReconstructionResult(image, None, scale * float(np.linalg.norm(misfit)))
 
 
 def reconstruct_chain(
-    spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED, factors=None
+    spec: HybridSpec, y, range_tag: RangeTag = RangeTag.SIGNED, factors=None, residual=True
 ) -> ReconstructionResult:
     """Invert a chained forward model via its composed factors (``factors``, if given)."""
     factors = compose_chain(spec) if factors is None else factors
-    return replace(reconstruct_2d(*factors, y, range_tag), spec=spec)
+    return replace(reconstruct_2d(*factors, y, range_tag, residual), spec=spec)

@@ -6,13 +6,14 @@ import itertools
 import json
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridgi import ConfigError, NoiseModel, RangeTag, SceneImage, acquire, windmill
-from hybridgi import cli, fileio, measurement, metrics, simulator
+from hybridgi import cli, fileio, measurement, metrics, reconstruct, simulator
 from hybridgi.cli import main, run_experiment
 from hybridgi.config import parse_config, resolve_kept_rows, with_overrides
 
@@ -418,8 +419,8 @@ class TestPreparedReference:
             "hybrid_sets": [base["hybrid"], other], "sigmas": [0.0, 0.05]}}, "sweep.json")
         reports = []
 
-        def recorded(*args):
-            reports.append((args, run_experiment(*args)))
+        def recorded(*args, **kwargs):
+            reports.append((args, run_experiment(*args, **kwargs)))
             return reports[-1][1]
 
         monkeypatch.setattr(cli, "run_experiment", recorded)
@@ -450,6 +451,52 @@ class TestPreparedReference:
         prepares, rows = self.sweep_rows(tmp_path, monkeypatch, path)
         assert [row["message"] for row in rows] == [message] * 2
         assert prepares == []
+
+
+class TestSweepResidual:
+    """A sweep row forms no fitted image L X' R^T, whose residual its table does not print."""
+
+    @pytest.mark.parametrize("name", SHIPPED_RUN_CONFIGS)
+    def test_only_run_and_reconstruct_form_the_fitted_image(self, tmp_path, monkeypatch, name):
+        fits = record_calls(monkeypatch, measurement.forward, [reconstruct])
+        path = CONFIGS / name
+        sweep = write_config(tmp_path, {"base": json.loads(path.read_text()),
+                                        "vary": {"sigmas": [0.0, 0.01]}}, "sweep.json")
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(fits) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(fits) == 1
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert len(fits) == 2
+
+    def test_six_set_sweep_forms_no_fitted_image(self, tmp_path, monkeypatch):
+        fits = record_calls(monkeypatch, measurement.forward, [reconstruct])
+        path = CONFIGS / "sweep_six_sets.json"
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = (tmp_path / "six_sets_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 24 and all(",ok," in row for row in rows)
+        assert fits == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_row_whose_recovery_overflows_is_recorded(self, tmp_path, monkeypatch):
+        # Finite buckets of 1.7e308 overflow L^H Y R itself, which a row still checks.
+        acquire_row = cli._acquire
+
+        def huge(*args):
+            buckets = acquire_row(*args)
+            return replace(buckets, values=np.full_like(buckets.values, 1.7e308))
+
+        monkeypatch.setattr(cli, "_acquire", huge)
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {"sigmas": [0.0, 0.01]}},
+                            "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["error", "error"]
+        assert all(row["message"].endswith("the reconstruction of the buckets overflows")
+                   for row in rows)
 
 
 class TestNoiseTable:
@@ -483,11 +530,11 @@ class TestNoiseTable:
         made, alive_at_call = self.record_noise(monkeypatch)
         reports = []
 
-        def recorded_run(*args):
+        def recorded_run(*args, **kwargs):
             # The config, which of the noises made so far the row took, and its report.
             taken = [i for i, entry in enumerate(made)
                      if args[5] is not None and entry[4]() is args[5]]
-            reports.append((args[0], taken, run_experiment(*args)[3]))
+            reports.append((args[0], taken, run_experiment(*args, **kwargs)[3]))
             return (None, None, None, reports[-1][2])
 
         monkeypatch.setattr(cli, "run_experiment", recorded_run)

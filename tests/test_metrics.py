@@ -181,6 +181,28 @@ class TestSsimPlanes:
         roi = (top, left, height, width)
         assert ssim(a, b, peak, roi) == stacked_ssim(a[top:, left:], b[top:, left:], peak)
 
+    @pytest.mark.parametrize("width", [8, 9, 15, 64])
+    @pytest.mark.parametrize("planes", [1, 3])
+    @pytest.mark.parametrize("height", [8, 13])
+    def test_window_sums_keep_wrapped_sums_out_bitwise(self, width, planes, height):
+        # _window_sums adds over the planes flattened, so a sum that wraps a row's
+        # or a plane's end holds another row's first or last column. A NaN, an
+        # infinity or a 1e308 (whose double overflows) there would show up in any
+        # window that such a sum leaked into.
+        rng = np.random.default_rng(width * planes * height)
+        x = rng.normal(size=(planes, height, width))
+        specials = [np.nan, np.inf, -np.inf, 1e308]
+        for plane in range(planes):
+            for row, column in ((0, 0), (height - 1, width - 1), (height // 2, 0),
+                                (1, width - 1), (height - 2, rng.integers(width))):
+                x[plane, row, column] = specials[rng.integers(len(specials))]
+        with np.errstate(all="ignore"):
+            sums, want = _window_sums(x), _window_sums_stacked(x)
+            if planes == 1:
+                assert np.array_equal(_window_sums(x[0]), want[0], equal_nan=True)
+        assert sums.shape == want.shape == (planes, height - 7, width - 7)
+        assert np.array_equal(sums, want, equal_nan=True)
+
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("shape", PLANE_SHAPES)
     def test_prepared_reference_gives_the_same_bits(self, seed, shape):

@@ -27,6 +27,7 @@ from hybridgi import (
     unvec,
     vec_rows,
 )
+from hybridgi import reconstruct
 from hybridgi.errors import ValueOverflowError
 from hybridgi.measurement import forward
 
@@ -203,6 +204,26 @@ class TestReconstruct2d:
         else:
             assert result.image.values.tobytes() == image.tobytes()
             assert result.residual_norm == residual_norm
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_without_residual_the_image_keeps_its_bits(self, spec, monkeypatch):
+        # residual=False forms no forward image: forward is never called.
+        left, right = compose_chain(spec)
+        y = np.random.default_rng(17).normal(size=(left.kept_rows, right.kept_rows))
+        full = reconstruct_2d(left, right, y)
+        monkeypatch.setattr(reconstruct, "forward", None)
+        bare = reconstruct_2d(left, right, y, residual=False)
+        assert bare.residual_norm is None and full.residual_norm is not None
+        assert bare.image.values.tobytes() == full.image.values.tobytes()
+        chained = reconstruct_chain(spec, y, RangeTag.SIGNED, (left, right), residual=False)
+        assert (chained.spec, chained.residual_norm) == (spec, None)
+        assert chained.image.values.tobytes() == full.image.values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_recovery_without_residual_is_an_error(self):
+        left, right = build_transform("hadamard", 8), build_transform("dct", 4)
+        with pytest.raises(ValueOverflowError, match="reconstruction of the buckets overflows"):
+            reconstruct_2d(left, right, np.full((8, 4), 1.7e308), residual=False)
 
     def test_memory_on_256_squared(self):
         # Hadamard then dct at rate 0.75 (192 kept rows) by a dft, in real
