@@ -110,23 +110,48 @@ def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
-def run_experiment(config: ExperimentConfig, scene: SceneImage, factors=None, prepared=None,
-                   clean=None, combined=None, residual=True):
+class SweepTerms:
+    """What the rows of one ``sweep`` call share, each let go before the next of its kind is
+    made. For the whole sweep: ``build``, a memo of build_transform that holds at most one
+    matrix per kind at each of the scene's two orders (a set is composed once it fits), and
+    ``checked``, parse_config's checked sections. For a run of rows of the set ``composed``:
+    ``fit``, its _fit terms. For the seed and kept rows of the last noisy row, ``noise_key``:
+    ``noises``, a combined_noise per nonzero sigma. After the first row that scores:
+    ``prepared``, the ssim_reference of the scene and roi, which no axis varies."""
+
+    def __init__(self):
+        self.build, self.checked, self.noises = functools.cache(build_transform), {}, {}
+        self.composed = self.fit = self.noise_key = self.prepared = None
+
+    def row(self, config: ExperimentConfig, scene: SceneImage) -> tuple:
+        """A row's composed pair, noise-free terms, combined noise and prepared reference."""
+        if config.hybrid != self.composed:  # rows run set by set
+            self.composed = self.fit = None  # the last set's terms go before the next fit
+            self.fit, self.composed = _fit(config, scene, self.build), config.hybrid
+        noise = config.noise
+        key = (noise.seed, config.hybrid.left_kept, config.hybrid.right_kept)
+        if noise.sigma > 0.0 and key != self.noise_key:  # the last key's go before the next
+            self.noises, self.noise_key = {}, key
+        if noise.sigma > 0.0 and noise.sigma not in self.noises:
+            self.noises[noise.sigma] = combined_noise(noise, scene.range_tag.projections, *key[1:])
+        return (*self.fit, self.noises.get(noise.sigma), self.prepared)
+
+
+def run_experiment(config: ExperimentConfig, scene: SceneImage, shared: SweepTerms | None = None):
     """Full pipeline: acquire -> reconstruct -> score. Writes no file.
 
-    Both stages share ``factors``, compose_chain(config.hybrid)'s pair, and the acquisition
-    adds the noise to ``clean``, its noise-free terms. ``run`` leaves them out: made here by
-    ``_fit``, they are let go once used. ``sweep`` fits each set once and holds them
-    through its run of rows, one ``prepared``, the scene's ssim_reference over the roi,
-    through all of them, and ``combined``, the combined_noise of the row's noise and shape.
-    It passes residual=False, as its table prints no residual: result.residual_norm is None.
-    """
-    if factors is None:
-        factors, clean = _fit(config, scene)
+    Both stages share compose_chain(config.hybrid)'s pair, and the acquisition adds the noise
+    to its noise-free terms. ``run`` leaves ``shared`` out: made here by ``_fit``, they go once
+    used. A ``sweep`` row takes them from ``shared`` and takes no residual, which its table
+    does not print: result.residual_norm is None."""
+    if shared is None:
+        (factors, clean), combined, prepared = _fit(config, scene), None, None
+    else:
+        factors, clean, combined, prepared = shared.row(config, scene)
     buckets = _acquire(config, scene, factors, clean, combined)
     del clean  # a run's own noise-free terms go before the recovery
     try:
-        result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors, residual)
+        result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors, shared is None)
         del factors
         report = quality_report(scene, result.image, buckets=buckets, prepared=prepared,
                                 **config.metrics)
@@ -216,18 +241,13 @@ def cmd_sweep(args) -> int:
         scene = parse_object(base.get("object"), "object").build(base_dir)
     except (HybridGIError, OSError) as exc:
         scene = exc
-    # A set is composed only once it fits the scene, so the memo of builds, which lives as
-    # long as this call, holds at most one matrix per kind at each of the scene's two orders.
-    # Rows share the base's sections, checked once each through ``checked``.
-    rows, build, checked = [], functools.cache(build_transform), {}
-    factors = clean = composed = prepared = noise_key = None
-    noises = {}  # sigma -> combined_noise, for the seed and kept rows of noise_key
+    rows, shared = [], SweepTerms()
     for index, (hybrid, sigma, seed) in enumerate(itertools.product(*axes)):
         raw = with_overrides({**base, **hybrid}, **sigma, **seed)
         row = dict.fromkeys(SWEEP_FIELDS, "")
         row["index"] = index
         try:
-            config = parse_config(raw, checked)
+            config = parse_config(raw, shared.checked)
             row.update(
                 set=config.hybrid.label,
                 sampling_rate=f"{config.hybrid.sampling_rate:.6g}",
@@ -236,23 +256,8 @@ def cmd_sweep(args) -> int:
             )
             if isinstance(scene, Exception):
                 raise scene
-            if config.hybrid != composed:  # rows run set by set: one fit per run of rows
-                factors = clean = None  # let the last set's terms go before fitting the next
-                factors, clean = _fit(config, scene, build)
-                composed = config.hybrid
-            combined, noise = None, config.noise
-            if noise.sigma > 0.0:  # one noise per sigma, until the seed or the kept rows change
-                key = (noise.seed, config.hybrid.left_kept, config.hybrid.right_kept)
-                if key != noise_key:
-                    noises, noise_key = {}, key  # the last key's go before the next is made
-                if noise.sigma not in noises:
-                    noises[noise.sigma] = combined_noise(noise, scene.range_tag.projections,
-                                                         *key[1:])
-                combined = noises[noise.sigma]
-            _, _, _, report = run_experiment(config, scene, factors, prepared, clean, combined,
-                                             residual=False)
-            if prepared is None:  # rows share the scene and roi, which this row's score checked
-                prepared = ssim_reference(scene, config.metrics.get("roi"))
+            _, _, _, report = run_experiment(config, scene, shared)
+            shared.prepared = shared.prepared or ssim_reference(scene, config.metrics.get("roi"))
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",

@@ -419,15 +419,17 @@ class TestPreparedReference:
             "hybrid_sets": [base["hybrid"], other], "sigmas": [0.0, 0.05]}}, "sweep.json")
         reports = []
 
-        def recorded(*args, **kwargs):
-            reports.append((args, run_experiment(*args, **kwargs)))
-            return reports[-1][1]
+        def recorded(config, scene, shared):
+            # The config, whether the row found the scene unprepared, and its run's result.
+            unprepared = shared.prepared is None
+            reports.append((config, unprepared, run_experiment(config, scene, shared)))
+            return reports[-1][2]
 
         monkeypatch.setattr(cli, "run_experiment", recorded)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
         assert len(reports) == 4
-        assert [args[3] is None for args, _ in reports] == [True, False, False, False]
-        for (config, *_), (_, _, _, report) in reports:
+        assert [unprepared for _, unprepared, _ in reports] == [True, False, False, False]
+        for config, _, (_, _, _, report) in reports:
             alone = run_experiment(config, config.object.build())[3]
             assert (report.psnr_db, report.ssim, report.mse) == (alone.psnr_db, alone.ssim,
                                                                  alone.mse)
@@ -528,17 +530,24 @@ class TestNoiseTable:
         path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
             "hybrid_sets": sets, "sigmas": sigmas, "seeds": seeds}}, "sweep.json")
         made, alive_at_call = self.record_noise(monkeypatch)
-        reports = []
+        reports, acquire_row = [], cli._acquire
+
+        def recorded_acquire(config, scene, factors, clean, combined):
+            # The config, which of the noises made so far the row took, and (below) its report.
+            taken = [i for i, entry in enumerate(made)
+                     if combined is not None and entry[4]() is combined]
+            reports.append([config, taken])
+            return acquire_row(config, scene, factors, clean, combined)
 
         def recorded_run(*args, **kwargs):
-            # The config, which of the noises made so far the row took, and its report.
-            taken = [i for i, entry in enumerate(made)
-                     if args[5] is not None and entry[4]() is args[5]]
-            reports.append((args[0], taken, run_experiment(*args, **kwargs)[3]))
-            return (None, None, None, reports[-1][2])
+            report = run_experiment(*args, **kwargs)[3]
+            reports[-1].append(report)
+            return (None, None, None, report)
 
+        monkeypatch.setattr(cli, "_acquire", recorded_acquire)
         monkeypatch.setattr(cli, "run_experiment", recorded_run)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        monkeypatch.setattr(cli, "_acquire", acquire_row)  # the runs alone below go unrecorded
         # Rows run set by set and the seed varies fastest: a noise per noisy row here.
         assert [entry[:4] for entry in made] == [(3, 0.05, 2, self.SUB), (4, 0.05, 2, self.SUB),
                                                  (3, 0.05, 2, (32, 64)), (4, 0.05, 2, (32, 64))]
@@ -577,6 +586,65 @@ class TestNoiseTable:
             (42, sigma, 2, shape) for shape in (self.SUB, (32, 64), self.SUB)
             for sigma in (0.05, 0.01)]
         assert alive_at_call == [0, 1] * 3
+
+
+class TestFittedTerms:
+    """A run lets its noise-free terms go before the recovery; a sweep holds one set's at a
+    time and lets them go when it returns."""
+
+    @staticmethod
+    def record_fits(monkeypatch) -> tuple[list, list]:
+        """A weak reference to the noise-free product L X R^T of each _fit through cli, and
+        how many of the earlier ones were alive at each call."""
+        made, alive_at_call, fit = [], [], cli._fit
+
+        def recorded(*args):
+            alive_at_call.append(sum(ref() is not None for ref in made))
+            factors, clean = fit(*args)
+            made.append(weakref.ref(clean[0]))
+            return factors, clean
+
+        monkeypatch.setattr(cli, "_fit", recorded)
+        return made, alive_at_call
+
+    def test_a_run_frees_its_noise_free_terms_before_the_recovery(self, tmp_path, monkeypatch):
+        made, _ = self.record_fits(monkeypatch)
+        freed, reconstruct_chain = [], cli.reconstruct_chain
+
+        def recorded(*args):
+            freed.append([ref() is None for ref in made])
+            return reconstruct_chain(*args)
+
+        monkeypatch.setattr(cli, "reconstruct_chain", recorded)
+        # A noisy set: its buckets are a new array, not the noise-free product itself.
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert freed == [[True]]
+
+    def test_a_sweep_lets_a_sets_fit_go_before_it_fits_the_next(self, tmp_path, monkeypatch):
+        other = {"left": [{"kind": "dct", "order": 32, "sampling_rate": 0.906}],
+                 "right": [{"kind": "haar", "order": 64, "sampling_rate": 0.906}]}
+        sets = [BASE_CONFIG["hybrid"], other, BASE_CONFIG["hybrid"]]
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": sets, "sigmas": [0.0, 0.01]}}, "sweep.json")
+        made, alive_at_call = self.record_fits(monkeypatch)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert alive_at_call == [0, 0, 0]
+        assert all(ref() is None for ref in made)  # freed when the command returns
+
+    def test_a_set_after_one_whose_fit_fails_is_fitted_once(self, tmp_path, monkeypatch):
+        misfit = {"left": [{"kind": "hadamard", "order": 16, "sampling_rate": 0.906}],
+                  "right": [{"kind": "dct", "order": 64, "sampling_rate": 0.906}]}
+        sets = [BASE_CONFIG["hybrid"], misfit, BASE_CONFIG["hybrid"]]
+        path = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {
+            "hybrid_sets": sets, "sigmas": [0.0, 0.01]}}, "sweep.json")
+        made, alive_at_call = self.record_fits(monkeypatch)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        # Each row of the misfit set fails its own fit; the set after it fits once for both rows.
+        assert (len(made), alive_at_call) == (2, [0, 0, 0, 0])
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 2 + [
+                "error"] * 2 + ["ok"] * 2
 
 
 class TestSharedParser:
