@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, with_overrides
-from .errors import ConfigError, HybridGIError, ImageParseError, ValueOverflowError
+from .errors import (ConfigError, HybridGIError, ImageParseError, ResourceLimitError,
+                     ValueOverflowError)
 from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fields,
                           footprint_report, forward)
 from .metrics import (SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region,
@@ -76,11 +77,10 @@ def _fit(config: ExperimentConfig, scene: SceneImage, build=None):
     return factors, (forward if config.uses_dft else noise_free)(*factors, scene.values)
 
 
-def _acquire(config: ExperimentConfig, scene: SceneImage, factors=None, clean=None,
-             combined=None):
+def _acquire(config: ExperimentConfig, scene: SceneImage, clean=None, combined=None):
     if config.uses_dft:
-        return acquire_ideal(config.hybrid, scene, factors, clean)
-    return acquire(config.hybrid, scene, config.noise, factors, clean, combined)
+        return acquire_ideal(config.hybrid, scene, clean)
+    return acquire(config.hybrid, scene, config.noise, clean, combined)
 
 
 def _summary_line(config: ExperimentConfig, report) -> str:
@@ -143,20 +143,24 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage, shared: SweepTer
     Both stages share compose_chain(config.hybrid)'s pair, and the acquisition adds the noise
     to its noise-free terms. ``run`` leaves ``shared`` out: made here by ``_fit``, they go once
     used. A ``sweep`` row takes them from ``shared`` and takes no residual, which its table
-    does not print: result.residual_norm is None."""
-    if shared is None:
-        (factors, clean), combined, prepared = _fit(config, scene), None, None
-    else:
-        factors, clean, combined, prepared = shared.row(config, scene)
-    buckets = _acquire(config, scene, factors, clean, combined)
-    del clean  # a run's own noise-free terms go before the recovery
+    does not print: result.residual_norm is None. A stage that runs out of memory raises
+    ResourceLimitError, naming the set and the scene's size."""
     try:
+        if shared is None:
+            (factors, clean), combined, prepared = _fit(config, scene), None, None
+        else:
+            factors, clean, combined, prepared = shared.row(config, scene)
+        buckets = _acquire(config, scene, clean, combined)
+        del clean  # a run's own noise-free terms go before the recovery
         result = reconstruct_chain(config.hybrid, buckets, scene.range_tag, factors, shared is None)
         del factors
         report = quality_report(scene, result.image, buckets=buckets, prepared=prepared,
                                 **config.metrics)
     except ValueOverflowError as exc:  # a scene lies in its range: only noise overflows
         raise ValueOverflowError(f"sigma {config.noise.sigma} is too large: {exc}") from exc
+    except MemoryError:
+        raise ResourceLimitError(f"{config.hybrid.label} on a {scene.height}x{scene.width} "
+                                 "scene does not fit in memory") from None
     return scene, buckets, result, report
 
 

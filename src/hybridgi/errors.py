@@ -35,7 +35,7 @@ class UnsupportedPatternError(HybridGIError, ValueError):
 
 
 class ResourceLimitError(HybridGIError, ValueError):
-    """Requested dense matrix exceeds the desk-scale size cap."""
+    """Requested dense matrix exceeds the desk-scale size cap, or a run does not fit in memory."""
 
 
 class ChainCompositionError(HybridGIError, ValueError):

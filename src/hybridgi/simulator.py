@@ -8,9 +8,9 @@ same way and need four. Detection noise is additive zero-mean Gaussian per
 physical projection, drawn as a pure function of (seed, measurement index)
 so that parallel and serial acquisition agree bitwise: draw k is the
 Box-Muller transform of words 2k and 2k + 1 of the Philox(key=seed)
-stream. The module keeps no state: a caller that acquires many rows may pass
-``acquire`` a set's ``noise_free`` terms and the ``combined_noise`` of a
-(noise, kept rows) pair, each made once.
+stream. The module keeps no state. A stage takes the set's terms that
+``cli._fit`` checked and made once, or composes its own from the spec alone
+(``_factors_for``); ``acquire`` also takes a (noise, kept rows) ``combined_noise``.
 
 ``acquire`` computes every bucket of a set at once, in closed form.
 Pattern (m, n) is the outer product of rows L_m and R_n, at scale a_m b_n
@@ -299,12 +299,12 @@ def measure_bucket(
     return _combine([project(p, h, noise, start + j) for j, (p, h) in enumerate(pairs)])
 
 
-def require_orders(spec: HybridSpec, scene: SceneImage, factors=None) -> None:
-    """Raise ShapeError unless the orders of ``factors``, else of ``spec``, match ``scene``'s shape.
+def require_orders(spec: HybridSpec, scene: SceneImage) -> None:
+    """Raise ShapeError unless the orders of ``spec`` match ``scene``'s shape.
 
     It reads the spec's orders, so a caller can check a set before composing it.
     """
-    left, right = (spec.left_chain[0], spec.right_chain[0]) if factors is None else factors
+    left, right = spec.left_chain[0], spec.right_chain[0]
     if left.order != scene.height or right.order != scene.width:
         raise ShapeError(
             f"spec orders {left.order}x{right.order} do not match "
@@ -312,21 +312,21 @@ def require_orders(spec: HybridSpec, scene: SceneImage, factors=None) -> None:
         )
 
 
-def _factors_for(spec: HybridSpec, scene: SceneImage, factors=None):
-    """``factors``, else compose_chain(spec), once ``scene`` is fit to acquire with them.
+def _factors_for(spec: HybridSpec, scene: SceneImage):
+    """compose_chain(spec), once ``scene`` is fit to acquire with it.
 
-    Both acquisition paths start here: the factor orders must match the
-    scene's shape and its values must lie in its declared range.
+    A stage given the spec alone starts here: the spec's orders must match
+    the scene's shape and its values must lie in its declared range.
     """
-    require_orders(spec, scene, factors)
+    require_orders(spec, scene)
     scene.assert_in_range()
-    return compose_chain(spec) if factors is None else factors
+    return compose_chain(spec)
 
 
 def noise_free(left, right, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of ``acquire`` that no noise changes: L @ X @ R^T and a and b, the max-abs
     of each row of ``left`` and of ``right``, once the factors are real with no all-zero
-    row. That they fit the scene X is the caller's check (``_factors_for``)."""
+    row. That they fit the scene X is the caller's check (``_factors_for`` or ``cli._fit``)."""
     if np.iscomplexobj(left.entries) or np.iscomplexobj(right.entries):
         raise UnsupportedPatternError("complex transform factors cannot be physically projected")
     peaks_l, peaks_r = (np.abs(f.entries).max(axis=1) for f in (left, right))
@@ -335,7 +335,7 @@ def noise_free(left, right, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return forward(left, right, x), peaks_l, peaks_r
 
 
-def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None, clean=None,
+def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, clean=None,
             combined=None) -> BucketSignals:
     """Simulate the physical acquisition of one hybridization set.
 
@@ -343,14 +343,13 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None
     is shown as its halves (1 +- v)/2 against the scene, or the scene's
     halves when signed. The bucket, the scale times the projections' signed
     sum, is (L @ X @ R^H)[m, n] plus a_m b_n C[m, n], C the combined_noise of
-    ``noise`` for these kept rows. ``clean``, noise_free's terms of ``factors``
-    once they fit ``scene``, and ``combined``, that C, spare a caller that
-    acquires many rows their remaking, bit for bit: a ``combined`` of another
-    shape raises ShapeError. A sigma whose noise overflows a bucket raises
-    ParameterError.
+    ``noise`` for these kept rows. L and R are composed from ``spec`` alone, unless
+    ``clean`` gives their noise_free terms, checked against ``scene`` (``cli._fit``'s).
+    ``clean`` and ``combined``, that C, spare a caller that acquires many rows their
+    remaking, bit for bit: a ``combined`` of another shape raises ShapeError. A sigma
+    whose noise overflows a bucket raises ParameterError.
     """
-    buckets, peaks_l, peaks_r = clean or noise_free(*_factors_for(spec, scene, factors),
-                                                    scene.values)
+    buckets, peaks_l, peaks_r = clean or noise_free(*_factors_for(spec, scene), scene.values)
     if noise.sigma > 0.0:
         if combined is None:
             combined = combined_noise(noise, scene.range_tag.projections, *buckets.shape)
@@ -363,12 +362,12 @@ def acquire(spec: HybridSpec, scene: SceneImage, noise: NoiseModel, factors=None
     return BucketSignals(buckets, noise.sigma, noise.seed, spec)
 
 
-def acquire_ideal(spec: HybridSpec, scene: SceneImage, factors=None, clean=None) -> BucketSignals:
-    """Noise-free dense acquisition: Y = L @ X @ R^H, or ``clean``, that product of ``factors``
-    once they fit ``scene``.
+def acquire_ideal(spec: HybridSpec, scene: SceneImage, clean=None) -> BucketSignals:
+    """Noise-free dense acquisition: Y = L @ X @ R^H of the pair composed from ``spec``
+    alone, or ``clean``, that product checked against ``scene`` (``cli._fit``'s).
 
     This is the math-path counterpart of :func:`acquire`; it also accepts
     complex (DFT) factors, which the physical simulator rejects.
     """
-    clean = forward(*_factors_for(spec, scene, factors), scene.values) if clean is None else clean
+    clean = forward(*_factors_for(spec, scene), scene.values) if clean is None else clean
     return BucketSignals(clean, 0.0, 0, spec)

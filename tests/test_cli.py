@@ -532,12 +532,12 @@ class TestNoiseTable:
         made, alive_at_call = self.record_noise(monkeypatch)
         reports, acquire_row = [], cli._acquire
 
-        def recorded_acquire(config, scene, factors, clean, combined):
+        def recorded_acquire(config, scene, clean, combined):
             # The config, which of the noises made so far the row took, and (below) its report.
             taken = [i for i, entry in enumerate(made)
                      if combined is not None and entry[4]() is combined]
             reports.append([config, taken])
-            return acquire_row(config, scene, factors, clean, combined)
+            return acquire_row(config, scene, clean, combined)
 
         def recorded_run(*args, **kwargs):
             report = run_experiment(*args, **kwargs)[3]
@@ -645,6 +645,53 @@ class TestFittedTerms:
         with open(tmp_path / "sweep.csv", newline="") as handle:
             assert [row["status"] for row in csv.DictReader(handle)] == ["ok"] * 2 + [
                 "error"] * 2 + ["ok"] * 2
+
+
+class TestOutOfMemory:
+    """A stage that runs out of memory is a numeric error naming the set and the scene's
+    size: ``run`` exits 3 with one line and writes nothing, and a sweep records the row."""
+
+    REAL = BASE_CONFIG["hybrid"]
+    DFT = {"left": [{"kind": "haar", "order": 32}], "right": [{"kind": "dft", "order": 64}]}
+    CASES = pytest.mark.parametrize(
+        "stage, failing, other, label",
+        [("noise_free", REAL, DFT, "had32-dct64"), ("forward", DFT, REAL, "haar32-dft64")],
+        ids=["real-set", "dft-set"],
+    )
+
+    @staticmethod
+    def exhaust(monkeypatch, stage):
+        def out_of_memory(*args):
+            raise MemoryError("Out of memory in matmul")
+
+        monkeypatch.setattr(cli, stage, out_of_memory)
+
+    @CASES
+    def test_run_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch, stage, failing,
+                                            other, label):
+        self.exhaust(monkeypatch, stage)
+        config = dict(BASE_CONFIG, hybrid=failing, noise={"sigma": 0.0, "seed": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out",
+                     str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {label} on a 32x64 scene does not fit in memory\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @CASES
+    def test_sweep_records_each_row_of_the_set(self, tmp_path, monkeypatch, stage, failing,
+                                               other, label):
+        self.exhaust(monkeypatch, stage)
+        sweep = {"base": dict(BASE_CONFIG, noise={"sigma": 0.0, "seed": 1}), "vary": {
+            "hybrid_sets": [failing, other], "seeds": [1, 2]}}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        message = f"{label} on a 32x64 scene does not fit in memory"
+        assert [(row["status"], row["message"]) for row in rows] == [
+            ("error", message), ("error", message), ("ok", ""), ("ok", "")]
 
 
 class TestSharedParser:

@@ -520,9 +520,9 @@ def test_acquire_with_combined_noise_equals_acquire_without(height, width, range
     assert want == oracle_acquire(spec, scene, sigma, seed).tobytes()
     combined = combined_noise(noise, range_tag.projections, spec.left_kept, spec.right_kept)
     clean = noise_free(*compose_chain(spec), scene.values)
-    assert acquire(spec, scene, noise, None, None, combined).values.tobytes() == want
-    assert acquire(spec, scene, noise, None, clean, combined).values.tobytes() == want
-    assert acquire(spec, scene, noise, None, clean).values.tobytes() == want
+    assert acquire(spec, scene, noise, None, combined).values.tobytes() == want
+    assert acquire(spec, scene, noise, clean, combined).values.tobytes() == want
+    assert acquire(spec, scene, noise, clean).values.tobytes() == want
 
 
 @pytest.mark.parametrize("range_tag", list(RangeTag))
@@ -546,7 +546,7 @@ def test_an_overflowing_sigma_fails_alike_with_and_without_combined_noise(range_
         acquire(spec, scene, noise)
     combined = combined_noise(noise, range_tag.projections, spec.left_kept, spec.right_kept)
     with pytest.raises(ParameterError) as given:
-        acquire(spec, scene, noise, None, None, combined)
+        acquire(spec, scene, noise, None, combined)
     assert type(given.value) is type(without.value)
     message = "sigma 1e+308 is too large: the noisy projections overflow"
     assert str(given.value) == str(without.value) == message
@@ -559,7 +559,7 @@ def test_combined_noise_of_another_shape_is_rejected(range_tag, shape):
     spec, scene = table_case(16, 32, range_tag, "odd")  # 13 x 17 kept rows
     message = rf"^combined noise of shape {re.escape(str(shape))} vs buckets \(13, 17\)$"
     with pytest.raises(ShapeError, match=message):
-        acquire(spec, scene, NoiseModel(0.05, 3), None, None, np.zeros(shape))
+        acquire(spec, scene, NoiseModel(0.05, 3), None, np.zeros(shape))
 
 
 @kind_pairs
