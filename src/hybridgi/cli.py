@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
 Subcommands: gen-object, acquire, reconstruct, metrics, run, sweep,
-footprint, demo-stripes. Exit codes: 0 success, 1 config or usage error,
-2 I/O error, 3 numeric/domain error.
+footprint, demo-stripes. Each handler returns the text it has to say; only
+``main`` writes: it prints that text unless --quiet, and turns each failure
+into one stderr line and its exit code: 1 config or usage error, 2 I/O
+error, 3 numeric/domain error, running out of memory included (0 is success).
 """
 
 import argparse
@@ -14,8 +16,8 @@ from pathlib import Path
 
 from . import fileio, scenes
 from .config import ExperimentConfig, OutputPaths, parse_config, parse_object, with_overrides
-from .errors import (ConfigError, HybridGIError, ImageParseError, ResourceLimitError,
-                     ValueOverflowError)
+from .errors import (ConfigError, HybridGIError, ImageParseError, ParameterError,
+                     ResourceLimitError, ValueOverflowError)
 from .measurement import (HybridSpec, as_file_name, as_object, compose_chain, fields,
                           footprint_report, forward)
 from .metrics import (SIGNIFICANCE_REL_TOL, count_significant, quality_report, require_ssim_region,
@@ -105,8 +107,9 @@ def _write_report(config: ExperimentConfig, path, report, **extra) -> None:
 
 
 def _write_reconstruction(image: SceneImage, paths: OutputPaths) -> None:
-    """The display image plus the exact CSV beside it."""
-    scenes.save_image(image, paths.image)
+    """The display image plus the exact CSV beside it, written once when they are one file."""
+    if paths.image != paths.image_csv:
+        scenes.save_image(image, paths.image)
     fileio.write_csv_matrix(paths.image_csv, image.values)
 
 
@@ -116,8 +119,8 @@ class SweepTerms:
     matrix per kind at each of the scene's two orders (a set is composed once it fits), and
     ``checked``, parse_config's checked sections. For a run of rows of the set ``composed``:
     ``fit``, its _fit terms. For the seed and kept rows of the last noisy row, ``noise_key``:
-    ``noises``, a combined_noise per nonzero sigma. After the first row that scores:
-    ``prepared``, the ssim_reference of the scene and roi, which no axis varies."""
+    ``noises``, a combined_noise per nonzero sigma. From the first fit on: ``prepared``, the
+    ssim_reference of the scene and roi, which no axis varies (_fit has checked the region)."""
 
     def __init__(self):
         self.build, self.checked, self.noises = functools.cache(build_transform), {}, {}
@@ -128,6 +131,7 @@ class SweepTerms:
         if config.hybrid != self.composed:  # rows run set by set
             self.composed = self.fit = None  # the last set's terms go before the next fit
             self.fit, self.composed = _fit(config, scene, self.build), config.hybrid
+            self.prepared = self.prepared or ssim_reference(scene, config.metrics.get("roi"))
         noise = config.noise
         key = (noise.seed, config.hybrid.left_kept, config.hybrid.right_kept)
         if noise.sigma > 0.0 and key != self.noise_key:  # the last key's go before the next
@@ -164,48 +168,38 @@ def run_experiment(config: ExperimentConfig, scene: SceneImage, shared: SweepTer
     return scene, buckets, result, report
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     config, scene, paths = _load_stage(args)
     _, buckets, result, report = run_experiment(config, scene)
     fileio.write_buckets(paths.buckets, buckets)
     _write_reconstruction(result.image, paths)
     _write_report(config, paths.report, report, residual_norm=result.residual_norm)
-    if not args.quiet:
-        print(_summary_line(config, report))
-    return 0
+    return _summary_line(config, report)
 
 
-def cmd_gen_object(args) -> int:
+def cmd_gen_object(args) -> str:
     _, scene, paths = _load_stage(args)
     scenes.save_image(scene, paths.object)
-    if not args.quiet:
-        print(f"object {scene.height}x{scene.width} -> {paths.object}")
-    return 0
+    return f"object {scene.height}x{scene.width} -> {paths.object}"
 
 
-def cmd_acquire(args) -> int:
+def cmd_acquire(args) -> str:
     config, scene, paths = _load_stage(args)
     buckets = _acquire(config, scene)
     fileio.write_buckets(paths.buckets, buckets)
-    if not args.quiet:
-        print(
-            f"{config.hybrid.label} buckets {buckets.values.shape[0]}x"
-            f"{buckets.values.shape[1]} -> {paths.buckets}"
-        )
-    return 0
+    rows, cols = buckets.values.shape
+    return f"{config.hybrid.label} buckets {rows}x{cols} -> {paths.buckets}"
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> str:
     _, scene, paths = _load_stage(args)
     buckets = fileio.read_buckets(paths.buckets)
     result = reconstruct_chain(buckets.spec, buckets, range_tag=scene.range_tag)
     _write_reconstruction(result.image, paths)
-    if not args.quiet:
-        print(f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}")
-    return 0
+    return f"reconstruction residual={result.residual_norm:.3e} -> {paths.image}"
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> str:
     config, scene, paths = _load_stage(args)
     recon = fileio.read_finite_matrix(paths.image_csv)
     if recon.dtype.kind == "c":  # a reconstruction is real: a complex token marks a corrupt file
@@ -216,9 +210,7 @@ def cmd_metrics(args) -> int:
     buckets = fileio.read_buckets(paths.buckets)
     report = quality_report(scene, recon, buckets=buckets, **config.metrics)
     _write_report(config, paths.report, report)
-    if not args.quiet:
-        print(_summary_line(config, report))
-    return 0
+    return _summary_line(config, report)
 
 
 def _axis(value, path: str) -> list:
@@ -227,7 +219,7 @@ def _axis(value, path: str) -> list:
     return value
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     data, base_dir = _read_config_json(args)
     # Only the top level is checked here; each row's config is checked as it runs.
     sweep = fields(data, "", {"base": as_object}, {
@@ -261,7 +253,6 @@ def cmd_sweep(args) -> int:
             if isinstance(scene, Exception):
                 raise scene
             _, _, _, report = run_experiment(config, scene, shared)
-            shared.prepared = shared.prepared or ssim_reference(scene, config.metrics.get("roi"))
             row.update(
                 status="ok",
                 psnr_db=f"{report.psnr_db:.6g}",
@@ -274,43 +265,35 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     fileio.write_table(table_path, SWEEP_FIELDS, rows)
-    if not args.quiet:
-        print(f"{len(rows)} runs -> {table_path}")
-    return 0
+    return f"{len(rows)} runs -> {table_path}"
 
 
-def cmd_footprint(args) -> int:
+def cmd_footprint(args) -> str:
     report = footprint_report(args.height, args.width)
-    print(
-        f"{report.one_d_matrix_entries:,} / {report.two_d_left_entries:,} "
-        f"/ {report.two_d_right_entries:,}"
-    )
-    return 0
+    return (f"{report.one_d_matrix_entries:,} / {report.two_d_left_entries:,} "
+            f"/ {report.two_d_right_entries:,}")
 
 
-def cmd_demo_stripes(args) -> int:
-    """Stripe-compression demo: bucket sparsity per hybridization set."""
+def cmd_demo_stripes(args) -> str:
+    """Stripe-compression demo: bucket sparsity per hybridization set, one line each."""
     height, width = args.height, args.width
     target_sets = [("hadamard", "dct"), ("haar", "hadamard"), ("haar", "dct")]
     found = scenes.single_peak_stripe_search(height, width, target_sets)
     if not found:
-        print("no stripe configuration compresses to a single bucket", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise ParameterError("no stripe configuration compresses to a single bucket")
     spec = found[0]
     scene = scenes.staggered_stripes(spec)
-    print(
-        f"object: {height}x{width} stripes period={spec.stripe_period} "
-        f"orientation={spec.orientation.value} offset={spec.stagger_offset} "
-        f"band={spec.band_size}"
-    )
+    lines = [f"object: {height}x{width} stripes period={spec.stripe_period} "
+             f"orientation={spec.orientation.value} offset={spec.stagger_offset} "
+             f"band={spec.band_size}"]
     # The six sets: every ordered pair of two distinct real kinds.
     for left_kind, right_kind in itertools.permutations(("hadamard", "dct", "haar"), 2):
         spec2 = HybridSpec.pair(left_kind, height, right_kind, width)
         buckets = acquire(spec2, scene, NoiseModel())
         count, positions = count_significant(buckets, SIGNIFICANCE_REL_TOL)
         where = f" at {positions[0]}" if count == 1 else ""
-        print(f"{spec2.label}: significant={count}{where}")
-    return 0
+        lines.append(f"{spec2.label}: significant={count}{where}")
+    return "\n".join(lines)
 
 
 @functools.cache
@@ -342,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("footprint")
     p.add_argument("height", type=int)
     p.add_argument("width", type=int)
-    p.set_defaults(handler=cmd_footprint)
+    p.set_defaults(handler=cmd_footprint, quiet=False)
 
     p = sub.add_parser("demo-stripes")
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=16)
-    p.set_defaults(handler=cmd_demo_stripes)
+    p.set_defaults(handler=cmd_demo_stripes, quiet=False)
 
     return parser
 
@@ -355,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        text = args.handler(args)
+        if not args.quiet:
+            print(text)
+        return 0
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_CONFIG if exc.code else 0
     except ConfigError as exc:
@@ -366,6 +352,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except HybridGIError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # a stage outside run_experiment (which names the set) ran out
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

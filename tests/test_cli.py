@@ -4,6 +4,7 @@ import csv
 import gc
 import itertools
 import json
+import re
 import sys
 import weakref
 from dataclasses import replace
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hybridgi import ConfigError, NoiseModel, RangeTag, SceneImage, acquire, windmill
-from hybridgi import cli, fileio, measurement, metrics, reconstruct, simulator
+from hybridgi import cli, fileio, measurement, metrics, reconstruct, scenes, simulator
 from hybridgi.cli import main, run_experiment
 from hybridgi.config import parse_config, resolve_kept_rows, with_overrides
 
@@ -159,6 +160,18 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["set"] == "had32-dct64"
         assert report["config"]["noise"]["seed"] == 42
+
+    def test_image_named_csv_is_written_once(self, tmp_path, monkeypatch):
+        # The image and its exact CSV are one file: the buckets and it, two writes.
+        pgm, csv_named = tmp_path / "pgm", tmp_path / "csv"
+        config = write_config(tmp_path, BASE_CONFIG)
+        assert main(["run", "--config", str(config), "--out", str(pgm), "--quiet"]) == 0
+        outputs = dict(BASE_CONFIG["outputs"], image="recon.csv")
+        config = write_config(tmp_path, dict(BASE_CONFIG, outputs=outputs))
+        writes = record_calls(monkeypatch, fileio.write_csv_matrix)
+        assert main(["run", "--config", str(config), "--out", str(csv_named), "--quiet"]) == 0
+        assert [Path(path).name for path, _ in writes] == ["buckets.csv", "recon.csv"]
+        assert (csv_named / "recon.csv").read_bytes() == (pgm / "recon.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         config_path = write_config(tmp_path, BASE_CONFIG)
@@ -692,6 +705,55 @@ class TestOutOfMemory:
         message = f"{label} on a 32x64 scene does not fit in memory"
         assert [(row["status"], row["message"]) for row in rows] == [
             ("error", message), ("error", message), ("ok", ""), ("ok", "")]
+
+    @pytest.mark.parametrize(
+        "command, stage, error, stderr",
+        [("run", "hybridgi.config.windmill", MemoryError(), "error: out of memory\n"),
+         ("gen-object", "hybridgi.config.windmill", MemoryError("Unable to allocate 16.0 KiB"),
+          "error: out of memory: Unable to allocate 16.0 KiB\n"),
+         ("reconstruct", "hybridgi.fileio.read_csv_matrix", MemoryError("Out of memory"),
+          "error: out of memory: Out of memory\n")],
+        ids=["run-scene", "gen-object-scene", "reconstruct-buckets"],
+    )
+    def test_any_other_stage_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, command,
+                                                   stage, error, stderr):
+        # Outside run_experiment no set is named: main reports what ran out.
+        config, out = write_config(tmp_path, BASE_CONFIG), tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(stage, out_of_memory)
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", stderr)
+
+
+class TestPrintContract:
+    """A command prints its one summary line, or nothing under --quiet; main alone writes."""
+
+    def test_each_stage_prints_one_line_unless_quiet(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG)
+        sweep = write_config(tmp_path, {"base": BASE_CONFIG, "vary": {"seeds": [1, 2]}},
+                             "sweep.json")
+        out = tmp_path / "out"
+        summary = r"had32-dct64 rate=0\.821 psnr=\d+\.\d\d ssim=\d\.\d{4} significant=\d+"
+        for command, path, line in [
+            ("gen-object", config, re.escape(f"object 32x64 -> {out / 'object.pgm'}")),
+            ("run", config, summary),
+            ("acquire", config, re.escape(f"had32-dct64 buckets 29x58 -> {out / 'buckets.csv'}")),
+            ("reconstruct", config,
+             r"reconstruction residual=\d\.\d{3}e[+-]\d\d -> " + re.escape(str(out / "recon.pgm"))),
+            ("metrics", config, summary),
+            ("sweep", sweep, re.escape(f"2 runs -> {out / 'sweep.csv'}")),
+        ]:
+            argv = [command, "--config", str(path), "--out", str(out)]
+            assert main([*argv, "--quiet"]) == 0, command
+            assert capsys.readouterr() == ("", ""), command
+            assert main(argv) == 0, command
+            printed = capsys.readouterr()
+            assert printed.err == "", command
+            assert re.fullmatch(line + "\n", printed.out), (command, printed.out)
 
 
 class TestSharedParser:
@@ -1365,6 +1427,13 @@ class TestDemoStripes:
             "haar32-had16: significant=1 at (1, 0)",
             "haar32-dct16: significant=1 at (1, 0)",
         ]
+
+
+    def test_no_single_bucket_stripes_is_numeric_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(scenes, "single_peak_stripe_search", lambda *args: [])
+        assert main(["demo-stripes"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: no stripe configuration compresses to a single bucket\n")
 
 
 class TestSweep:

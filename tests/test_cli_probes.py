@@ -24,6 +24,10 @@ module, as subprocesses:
   ``test_gen_object_rerun_writes_the_same_image[stripes]``, ``[windmill]``, ``[separable]``.
 - a 512x512 physical run, twice, within the timeout and to the same buckets:
   ``test_physical_acquisition_at_512_squared_is_closed_form``.
+- a 1024x1024 dct x dft run under an address-space limit, one stderr line and exit 3
+  whether the scene's build or the set runs out: ``test_run_out_of_memory_is_one_line[scene]``,
+  ``[set]``; a sweep row under the set's limit records the error:
+  ``test_sweep_row_out_of_memory_is_recorded``.
 
 In-process, through ``main``, in ``tests/test_cli.py`` (``tests/test_acceptance.py``
 for criterion 12). A ``main`` that returns its code has printed no traceback, and
@@ -68,6 +72,7 @@ tier-1 turns warnings into errors as ``PYTHONWARNINGS=error`` did:
   ``TestExitCodes::test_failing_command_makes_no_out_directory[run-4x4-separable]``.
 """
 
+import csv
 import json
 import os
 import shutil
@@ -78,6 +83,11 @@ from pathlib import Path
 import pytest
 
 import hybridgi
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = str(Path(hybridgi.__file__).resolve().parent.parent)
@@ -207,3 +217,63 @@ def test_physical_acquisition_at_512_squared_is_closed_form(tmp_path):
         written.append((out / "buckets.csv").read_bytes())
         strict_json(out / "report.json")
     assert written[0] == written[1]
+
+
+# The child sets RLIMIT_AS on itself, never on the test process: its size after import plus
+# argv[1] MiB. OpenBLAS takes its buffers at the first large product, and failing that under
+# the limit it aborts where no MemoryError can be caught: the 512x512 product comes first.
+LIMITED_CHILD = """\
+import resource, sys
+import numpy as np
+square = np.ones((512, 512))
+square @ square
+from hybridgi.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + int(sys.argv[1]) * 2**20,
+                                        resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+LIMITED = pytest.mark.skipif(resource is None or not Path("/proc/self/status").exists(),
+                             reason="needs resource.RLIMIT_AS and /proc/self/status")
+HUGE = {"object": {"generator": "windmill", "height": 1024, "width": 1024, "blade_count": 4},
+        "hybrid": {"left": [{"kind": "dct", "order": 1024}],
+                   "right": [{"kind": "dft", "order": 1024}]},
+        "noise": {"sigma": 0.0, "seed": 0},
+        "outputs": {"image": "recon.pgm", "buckets": "buckets.csv", "report": "report.json"}}
+
+
+def limited_cli(headroom_mib: int, *argv: str) -> subprocess.CompletedProcess:
+    """``hybridgi argv`` in a fresh interpreter whose address space ends ``headroom_mib``
+    MiB above its size after import."""
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, str(headroom_mib), *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONWARNINGS": "error",
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+@LIMITED
+@pytest.mark.parametrize("headroom, message", [
+    (16, "error: out of memory"),  # the 1024x1024 windmill's own arrays
+    (64, "error: dct1024-dft1024 on a 1024x1024 scene does not fit in memory"),
+], ids=["scene", "set"])
+def test_run_out_of_memory_is_one_line(tmp_path, headroom, message):
+    config, out = tmp_path / "huge.json", tmp_path / "out"
+    config.write_text(json.dumps(HUGE))
+    done = limited_cli(headroom, "run", "--config", str(config), "--out", str(out))
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
+
+
+@LIMITED
+def test_sweep_row_out_of_memory_is_recorded(tmp_path):
+    config, out = tmp_path / "sweep.json", tmp_path / "out"
+    config.write_text(json.dumps({"base": HUGE, "vary": {"seeds": [0, 1]}}))
+    done = limited_cli(64, "sweep", "--config", str(config), "--out", str(out), "--quiet")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    with open(out / "sweep.csv", newline="") as handle:
+        rows = [(row["status"], row["message"]) for row in csv.DictReader(handle)]
+    assert rows == [("error", "dct1024-dft1024 on a 1024x1024 scene does not fit in memory")] * 2
